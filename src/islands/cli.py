@@ -19,17 +19,8 @@ from .constructors import (
 )
 from .errors import CapExceeded
 from .geometry import Shape
-from .search import (
-    DEFAULT_NODE_CAP,
-    ENGINE_VERSION,
-    SearchConfig,
-    extremal_size,
-    flat_extremal_size,
-)
+from .search import DEFAULT_NODE_CAP
 from .serialize import (
-    cache_append,
-    cache_key,
-    cache_lookup,
     dumps_canonical,
     report_to_dict,
     resolve_cache_path,
@@ -76,10 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cubic", action="store_true")
     p.add_argument("--engine", choices=["front", "flat"], default="front")
     p.add_argument("--brick-cap", type=int, default=None)
-    p.add_argument("--node-cap", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--no-symmetry", action="store_true",
-                   help="memoize by literal side order instead of the sorted multiset")
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.add_argument("--cache", default=None, help="results cache path (JSON lines)")
     p.add_argument("--no-cache", action="store_true")
 
@@ -195,26 +183,9 @@ def cmd_search(args) -> int:
     if args.cubic and not shape.is_cube:
         raise ValueError(f"cubic mode requires equal sides, got {shape}")
     cache_path = None if args.no_cache else resolve_cache_path(args.cache)
-    key = cache_key(shape, args.cubic, args.mode, args.engine, ENGINE_VERSION)
-    if cache_path:
-        row = cache_lookup(cache_path, key)
-        if row is not None:
-            print(dumps_canonical(row["report"]))
-            return EXIT_OK
-    config = SearchConfig(
-        mode=args.mode,
-        cubic=args.cubic,
-        use_symmetry=not args.no_symmetry,
-        brick_count_cap=args.brick_cap,
-        node_cap=args.node_cap if args.node_cap is not None else DEFAULT_NODE_CAP,
-        parallel_degree=args.parallel,
-    )
-    run = extremal_size if args.engine == "front" else flat_extremal_size
-    report = run(shape, config)
-    data = report_to_dict(report)
-    if cache_path:
-        cache_append(cache_path, key, data)
-    print(dumps_canonical(data))
+    searcher = sweeps.Searcher(engine=args.engine, cache_path=cache_path,
+                               brick_count_cap=args.brick_cap, node_cap=args.node_cap)
+    print(dumps_canonical(report_to_dict(searcher.report(shape, args.mode, args.cubic))))
     return EXIT_OK
 
 

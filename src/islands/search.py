@@ -22,7 +22,6 @@ each other on every shape small enough for the flat search.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,11 +47,9 @@ class SearchConfig:
 
     mode: str = "min"
     cubic: bool = False
-    use_front_decomposition: bool = True
     use_symmetry: bool = True
     brick_count_cap: int | None = None
     node_cap: int = DEFAULT_NODE_CAP
-    parallel_degree: int = 1
 
     def __post_init__(self):
         if self.mode not in ("min", "max"):
@@ -61,8 +58,6 @@ class SearchConfig:
             raise ValueError("brick_count_cap must be positive")
         if self.node_cap < 1:
             raise ValueError("node_cap must be positive")
-        if self.parallel_degree < 1:
-            raise ValueError("parallel_degree must be positive")
 
 
 @dataclass(frozen=True)
@@ -279,32 +274,6 @@ class _FrontEngine:
         self.memo[key] = (best_value, best_front, dims)
         return best_value
 
-    def value_parallel(self, dims: tuple[int, ...], degree: int) -> int:
-        """Top-level variant fanning front evaluations out to worker threads.
-
-        The memo dict is the only shared state; duplicate computations of a
-        key store identical entries, so last-write-wins is safe.  The reduce
-        runs in generation order, keeping the winning front deterministic.
-        """
-        key = self.key(dims)
-        region = _Region(dims, self.cubic)
-        fronts = list(_saturated_front_masks(region, self.counter))
-        base = self.base(dims)
-
-        def evaluate(members: tuple[int, ...]) -> int:
-            return base + sum(self.value(region.bricks[i].sides()) for i in members)
-
-        with ThreadPoolExecutor(max_workers=degree) as pool:
-            totals = list(pool.map(evaluate, fronts))
-        best_value = None
-        best_front = None
-        for members, total in zip(fronts, totals):
-            if best_value is None or (total < best_value if self.minimizing else total > best_value):
-                best_value = total
-                best_front = tuple(region.bricks[i] for i in members)
-        self.memo[key] = (best_value, best_front, dims)
-        return best_value
-
     def witness_bricks(self, dims: tuple[int, ...]) -> list[Brick]:
         """Replay the stored optimal fronts into an explicit brick list."""
         _, front, entry_dims = self.memo[self.key(dims)]
@@ -343,30 +312,16 @@ def _permute_brick(brick: Brick, axis_map: list[int]) -> Brick:
 
 
 def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
-    """Minimum or maximum size of a maximal system, by front decomposition.
-
-    With ``use_front_decomposition`` off the flat backtracking algorithm
-    runs instead (under this engine's larger default brick cap), which is
-    mainly useful for cross-checks.
-    """
+    """Minimum or maximum size of a maximal system, by front decomposition."""
     started = time.perf_counter()
     cap = config.brick_count_cap if config.brick_count_cap is not None else FRONT_BRICK_CAP
     total = brick_count(shape, config.cubic)
     if total > cap:
         raise CapExceeded(f"shape {shape} has {total} candidate bricks, cap is {cap}")
     counter = _Counter(config.node_cap)
-    if not config.use_front_decomposition:
-        value, bricks = _flat_best(shape, config.mode, config.cubic, counter)
-        witness = IslandSystem(shape, bricks, cubic=config.cubic)
-        memo_hits = 0
-    else:
-        engine = _FrontEngine(config.mode, config.cubic, config.use_symmetry, counter)
-        if config.parallel_degree > 1:
-            value = engine.value_parallel(shape.dims, config.parallel_degree)
-        else:
-            value = engine.value(shape.dims)
-        witness = IslandSystem(shape, engine.witness_bricks(shape.dims), cubic=config.cubic)
-        memo_hits = counter.memo_hits
+    engine = _FrontEngine(config.mode, config.cubic, config.use_symmetry, counter)
+    value = engine.value(shape.dims)
+    witness = IslandSystem(shape, engine.witness_bricks(shape.dims), cubic=config.cubic)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return ExtremalReport(
         shape=shape,
@@ -375,7 +330,7 @@ def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
         value=value,
         witness=witness,
         nodes_explored=counter.nodes,
-        memo_hits=memo_hits,
+        memo_hits=counter.memo_hits,
         elapsed_ms=elapsed_ms,
     )
 

@@ -101,6 +101,8 @@ def cache_lookup(path: str, key: dict) -> dict | None:
                 row = json.loads(line)
             except json.JSONDecodeError:
                 continue  # a torn write must not poison the whole cache
+            if not isinstance(row, dict):
+                continue
             if all(row.get(name) == value for name, value in key.items()):
                 found = row
     return found

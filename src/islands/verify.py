@@ -42,7 +42,8 @@ class Searcher:
     """Runs extremal searches through the persistent report cache.
 
     A cached row is reused only when shape, cubic flag, mode, engine name
-    and engine version all match; ``cache_path=None`` disables caching.
+    and engine version all match and its report parses; any other row is
+    a miss, recomputed and appended.  ``cache_path=None`` disables caching.
     """
 
     engine: str = "front"
@@ -55,7 +56,10 @@ class Searcher:
         if self.cache_path:
             row = cache_lookup(self.cache_path, key)
             if row is not None:
-                return report_from_dict(row["report"])
+                try:
+                    return report_from_dict(row.get("report"))
+                except ValueError:
+                    pass  # a missing or malformed report is recomputed and superseded
         config = SearchConfig(
             mode=mode,
             cubic=cubic,
@@ -173,11 +177,12 @@ def classification_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
     for shape in shapes:
         expected_size = min_brick_system_size(shape)
         try:
+            oracle = enumerate_maximal_systems(shape, cap=cap)  # checks the cap first
             generated = {system.bricks for system in minimal_maximal_systems(shape)}
             sizes_ok = all(len(bricks) == expected_size for bricks in generated)
             smallest: set[tuple[Brick, ...]] = set()
             best = None
-            for system in enumerate_maximal_systems(shape, cap=cap):
+            for system in oracle:
                 if best is None or len(system) < best:
                     best = len(system)
                     smallest = {system.bricks}

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
-from islands.cli import main
+import pytest
+
+from islands.cli import build_parser, main
+from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
+from islands.verify import SKIPPED, classification_rows
 from islands import IslandSystem, Shape, nested_min_system
 
 from conftest import B
@@ -177,6 +183,52 @@ class TestSearch:
         assert cache.exists()
 
 
+# A line that parses but is not an object, and a key-matching row with no report.
+BAD_CACHE_LINES = {
+    "non-object": "[1,2]",
+    "no-report": dumps_canonical({"shape": [2, 2], "cubic": False, "mode": "min",
+                                  "engine": "front", "engine_version": ENGINE_VERSION}),
+}
+
+
+class TestCacheRows:
+    @pytest.mark.parametrize("kind", sorted(BAD_CACHE_LINES))
+    def test_search_recomputes_past_a_bad_row(self, capsys, tmp_path, kind):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(BAD_CACHE_LINES[kind] + "\n")
+        code, first, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        assert json.loads(first)["value"] == 3
+        assert len(cache.read_text().strip().splitlines()) == 2
+        code, second, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        assert second == first
+        assert len(cache.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CACHE_LINES))
+    def test_verify_recomputes_past_a_bad_row(self, capsys, tmp_path, kind):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(BAD_CACHE_LINES[kind] + "\n")
+        code, out, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",
+                           "--max-side", "2", "--cache", str(cache))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all(row["status"] == "PASS" for row in rows)
+        assert {"shape": "2,2", "actual": "3"}.items() <= rows[2].items()
+
+    def test_search_row_is_replayed_by_verify(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        code, _, _ = run(capsys, "search", "--shape", "2,2", "--mode", "min",
+                         "--cache", str(cache))
+        assert code == 0
+        code, _, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",
+                         "--max-side", "2", "--cache", str(cache))
+        assert code == 0
+        rows = [json.loads(line) for line in cache.read_text().strip().splitlines()]
+        assert len(rows) == 5  # one per canonical shape, none written twice
+        assert sum(1 for row in rows if row["shape"] == [2, 2]) == 1
+
+
 class TestVerify:
     def test_theorem1_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",
@@ -205,6 +257,10 @@ class TestVerify:
         (row,) = list(csv.DictReader(io.StringIO(out)))
         assert row["expected"] == row["actual"] == "8"
         assert row["status"] == "PASS"
+
+    def test_classification_checks_the_cap_before_generating(self):
+        (row,) = classification_rows([Shape((9, 9))])
+        assert row["status"] == SKIPPED
 
     def test_corollaries_on_small_shapes(self, capsys):
         code, out, _ = run(capsys, "verify", "corollaries", "--shape", "2,2",
@@ -248,3 +304,17 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+def test_readme_cli_lines_parse():
+    """Every `islands ...` line in the README's code blocks is accepted by the parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines, in_block = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("islands "):
+            lines.append(line.split("#", 1)[0])
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

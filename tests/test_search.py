@@ -125,8 +125,6 @@ class TestSearchConfig:
             SearchConfig(node_cap=0)
         with pytest.raises(ValueError):
             SearchConfig(brick_count_cap=0)
-        with pytest.raises(ValueError):
-            SearchConfig(parallel_degree=0)
 
 
 class TestExtremalSize:
@@ -190,19 +188,6 @@ class TestExtremalSize:
         assert first.value == second.value
         assert first.witness == second.witness
         assert first.nodes_explored == second.nodes_explored
-
-    def test_parallel_same_value_and_witness(self):
-        serial = extremal_size(Shape((3, 3)), SearchConfig(mode="max"))
-        threaded = extremal_size(Shape((3, 3)), SearchConfig(mode="max", parallel_degree=4))
-        assert serial.value == threaded.value
-        assert serial.witness == threaded.witness
-
-    def test_flat_fallback_without_decomposition(self):
-        report = extremal_size(
-            Shape((2, 2)), SearchConfig(mode="min", use_front_decomposition=False)
-        )
-        assert report.value == 3
-        assert report.memo_hits == 0
 
     def test_brick_cap(self):
         with pytest.raises(CapExceeded):
