@@ -10,6 +10,7 @@ they are never disjoint.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -137,21 +138,80 @@ def compatible(a: Brick, b: Brick) -> bool:
     return contains(a, b) or contains(b, a) or disjoint(a, b)
 
 
-def enumerate_bricks(shape: Shape, cubic: bool = False) -> Iterator[Brick]:
-    """Every brick valid in ``shape``, in lexicographic (lo, hi) order.
+class IntervalMasks:
+    """The pairwise predicates as bitmasks over one list of bricks.
 
-    With ``cubic`` set, only bricks with all sides equal are produced.
+    Bit i of a mask stands for the i-th listed brick, given by its corners.
+    Per axis and coordinate ``x``, ``starts_from[x]`` holds the bricks whose
+    interval on that axis starts at or after ``x`` and ``ends_before[x]``
+    those ending before ``x``.  Containment is an AND of such masks over the
+    axes and closed-box disjointness an OR, so a query costs O(d) big-int
+    operations instead of one :func:`contains` or :func:`disjoint` call per
+    listed brick; those scalar predicates stay the reference.  The corners
+    are read once and not kept; the tables hold about ``2 d m n`` bits.
     """
+
+    __slots__ = ("all", "axes")
+
+    def __init__(self, shape: Shape, corners: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]):
+        lo_rows = [[bytearray() for _ in range(m + 1)] for m in shape.dims]
+        hi_rows = [[bytearray() for _ in range(m + 1)] for m in shape.dims]
+        every_row = [row for rows in lo_rows + hi_rows for row in rows]
+        n = 0  # bits go into bytearrays: an int's |= would copy the whole mask per brick
+        for lo, hi in corners:
+            byte, bit = n >> 3, 1 << (n & 7)
+            if bit == 1:
+                for row in every_row:
+                    row.append(0)
+            for lo_at, hi_at, a, h in zip(lo_rows, hi_rows, lo, hi):
+                lo_at[a][byte] |= bit
+                hi_at[h][byte] |= bit
+            n += 1
+        self.all = (1 << n) - 1
+        self.axes = []
+        for rows in zip(lo_rows, hi_rows):
+            lo_at, hi_at = ([int.from_bytes(row, "little") for row in at] for at in rows)
+            starts_from = list(itertools.accumulate(reversed(lo_at), operator.or_))[::-1] + [0]
+            ends_before = [0] + list(itertools.accumulate(hi_at, operator.or_))
+            self.axes.append((starts_from, ends_before))
+
+    def relations(self, brick: Brick) -> tuple[int, int, int]:
+        """Masks of the listed bricks inside ``brick``, around it, and disjoint from it.
+
+        A listed brick equal to ``brick`` is both inside and around it.
+        """
+        inside = self.all
+        not_around = apart = 0
+        for (starts_from, ends_before), a, h in zip(self.axes, brick.lo, brick.hi):
+            inside &= starts_from[a] & ends_before[h + 1]
+            not_around |= starts_from[a + 1] | ends_before[h]
+            apart |= ends_before[a] | starts_from[h + 1]
+        return inside, self.all & ~not_around, apart
+
+
+def brick_corners(
+    shape: Shape, cubic: bool = False
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The corners ``(lo, hi)`` of :func:`enumerate_bricks`, in the same order."""
     dims = shape.dims
     if cubic:
         for lo in itertools.product(*(range(m) for m in dims)):
             max_side = min(m - a for a, m in zip(lo, dims))
             for s in range(1, max_side + 1):
-                yield Brick(lo, tuple(a + s for a in lo))
+                yield lo, tuple(a + s for a in lo)
     else:
         for lo in itertools.product(*(range(m) for m in dims)):
             for hi in itertools.product(*(range(a + 1, m + 1) for a, m in zip(lo, dims))):
-                yield Brick(lo, hi)
+                yield lo, hi
+
+
+def enumerate_bricks(shape: Shape, cubic: bool = False) -> Iterator[Brick]:
+    """Every brick valid in ``shape``, in lexicographic (lo, hi) order.
+
+    With ``cubic`` set, only bricks with all sides equal are produced.
+    """
+    for lo, hi in brick_corners(shape, cubic):
+        yield Brick(lo, hi)
 
 
 def brick_count(shape: Shape, cubic: bool = False) -> int:

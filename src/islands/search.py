@@ -17,6 +17,10 @@ Two engines compute the same quantities by deliberately different routes:
 The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
 each other on every shape small enough for the flat search.
+
+Both engines read their pairwise tables off
+:class:`~islands.geometry.IntervalMasks`; the scalar predicates stay the
+reference those masks are tested against, and still check fronts.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceeded
-from .geometry import Brick, Shape, brick_count, compatible, contains, disjoint, enumerate_bricks
+from .geometry import Brick, IntervalMasks, Shape, brick_count, contains, disjoint, enumerate_bricks
 from .system import IslandSystem, canonical_form
 
 ENGINE_VERSION = "1"
@@ -114,10 +118,11 @@ class _Counter:
 class _Region:
     """Candidate bricks of one region plus the pairwise masks the DFS needs.
 
-    ``ok[j]`` holds, as a bitmask over candidate indices, which candidates i
-    satisfy contains(c_j, c_i) or disjoint(c_j, c_i); candidate j breaks a
-    front's saturation exactly when the front's index mask is a subset of
-    ``ok[j]``.
+    ``disj[j]`` holds, as a bitmask over candidate indices, the candidates
+    disjoint from c_j; ``ok[j]`` the candidates i != j that c_j contains or
+    is disjoint from.  Candidate j breaks a front's saturation exactly when
+    the front's index mask is a subset of ``ok[j]``.  Both rows are read off
+    the :class:`~islands.geometry.IntervalMasks` of the candidate list.
     """
 
     __slots__ = ("bricks", "n", "disj", "ok", "all_mask")
@@ -126,25 +131,18 @@ class _Region:
         shape = Shape(dims)
         full = shape.full_brick()
         bricks = [b for b in enumerate_bricks(shape, cubic) if b != full]
-        n = len(bricks)
-        disj = [0] * n
-        ok = [0] * n
-        for j in range(n):
-            bj = bricks[j]
-            for i in range(n):
-                if i == j:
-                    continue
-                bi = bricks[i]
-                if disjoint(bj, bi):
-                    disj[j] |= 1 << i
-                    ok[j] |= 1 << i
-                elif contains(bj, bi):
-                    ok[j] |= 1 << i
+        table = IntervalMasks(shape, ((b.lo, b.hi) for b in bricks))
+        disj = []
+        ok = []
+        for j, brick in enumerate(bricks):
+            inside, _, apart = table.relations(brick)
+            disj.append(apart)
+            ok.append((apart | inside) & ~(1 << j))
         self.bricks = bricks
-        self.n = n
+        self.n = len(bricks)
         self.disj = disj
         self.ok = ok
-        self.all_mask = (1 << n) - 1
+        self.all_mask = table.all
 
 
 def _saturated_front_masks(region: _Region, counter: _Counter) -> Iterator[tuple[int, ...]]:
@@ -392,12 +390,11 @@ def _maximal_families(
     """
     bricks = list(enumerate_bricks(shape, cubic))
     n = len(bricks)
-    compat = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if compatible(bricks[i], bricks[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    table = IntervalMasks(shape, ((b.lo, b.hi) for b in bricks))
+    compat = []
+    for i, brick in enumerate(bricks):
+        inside, around, apart = table.relations(brick)
+        compat.append((inside | around | apart) & ~(1 << i))
 
     def addable_nothing(rmask: int) -> bool:
         for j in range(n):

@@ -14,7 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import Brick, Shape, canonical_bricks, compatible, contains, enumerate_bricks
+from .geometry import (
+    Brick, IntervalMasks, Shape, brick_corners, canonical_bricks, compatible, contains,
+)
 
 
 @dataclass(frozen=True)
@@ -77,26 +79,38 @@ def max_elements(system: IslandSystem) -> list[Brick]:
     return [b for b in rest if not any(o != b and contains(o, b) for o in rest)]
 
 
+def _addable_mask(system: IslandSystem) -> tuple[IntervalMasks, int]:
+    """The universe's masks, streamed from its corners, and its addable bricks' mask."""
+    table = IntervalMasks(system.shape, brick_corners(system.shape, system.cubic))
+    addable = table.all
+    for member in system.bricks:
+        if not addable:
+            break
+        inside, around, apart = table.relations(member)
+        addable &= (inside | around | apart) & ~(inside & around)  # the member itself
+    return table, addable
+
+
 def addable_bricks(system: IslandSystem) -> list[Brick]:
     """Every non-member brick compatible with all members, in brick order.
 
     Cubic systems only admit cubes.  An empty result is exactly maximality.
     """
-    members = set(system.bricks)
-    out = []
-    for cand in enumerate_bricks(system.shape, system.cubic):
-        if cand not in members and all(compatible(cand, b) for b in system.bricks):
-            out.append(cand)
-    return out
+    _, addable = _addable_mask(system)
+    flags = bin(addable)[:1:-1]  # flags[i] == "1" iff brick i is addable
+    universe = brick_corners(system.shape, system.cubic)
+    return [Brick(lo, hi) for (lo, hi), flag in zip(universe, flags) if flag == "1"]
 
 
 def is_maximal(system: IslandSystem) -> bool:
-    """True iff no brick can be added; scans the whole candidate universe."""
-    members = set(system.bricks)
-    for cand in enumerate_bricks(system.shape, system.cubic):
-        if cand not in members and all(compatible(cand, b) for b in system.bricks):
-            return False
-    return True
+    """True iff no brick can be added.
+
+    ANDs each member's compatibility mask from the universe's
+    :class:`~islands.geometry.IntervalMasks` into the non-members.  The masks
+    take about ``2 d m n`` bits for ``n`` bricks and largest side ``m`` (under
+    0.5 MB for ``5x5x5x5``, n = 50625); the universe itself is never held.
+    """
+    return _addable_mask(system)[1] == 0
 
 
 def restrict(system: IslandSystem, region: Brick) -> IslandSystem:
@@ -116,16 +130,22 @@ def greedy_complete(system: IslandSystem) -> IslandSystem:
     """Extend to a maximal system by repeatedly adding the least addable brick.
 
     Deterministic by the lexicographic tie-break; a maximal input is returned
-    unchanged.
+    unchanged.  An addition only removes bricks from the addable set, so one
+    pass over the universe in brick order finds every addition.
     """
-    current = system
-    while True:
-        additions = addable_bricks(current)
-        if not additions:
-            return current
-        current = IslandSystem(
-            current.shape, current.bricks + (additions[0],), cubic=current.cubic
-        )
+    table, addable = _addable_mask(system)
+    universe = brick_corners(system.shape, system.cubic)
+    added = []
+    position = 0
+    while addable:
+        low = addable & -addable
+        index = low.bit_length() - 1
+        brick = Brick(*next(itertools.islice(universe, index - position, None)))
+        position = index + 1
+        added.append(brick)
+        inside, around, apart = table.relations(brick)
+        addable &= (inside | around | apart) & ~low
+    return IslandSystem(system.shape, system.bricks + tuple(added), cubic=system.cubic)
 
 
 def canonical_form(system: IslandSystem) -> IslandSystem:

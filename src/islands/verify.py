@@ -42,8 +42,9 @@ class Searcher:
     """Runs extremal searches through the persistent report cache.
 
     A cached row is reused only when shape, cubic flag, mode, engine name
-    and engine version all match and its report parses; any other row is
-    a miss, recomputed and appended.  ``cache_path=None`` disables caching.
+    and engine version all match, its report parses, and the report's own
+    shape, cubic flag and mode are the ones asked for; any other row is a
+    miss, recomputed and appended.  ``cache_path=None`` disables caching.
     """
 
     engine: str = "front"
@@ -57,9 +58,11 @@ class Searcher:
             row = cache_lookup(self.cache_path, key)
             if row is not None:
                 try:
-                    return report_from_dict(row.get("report"))
+                    cached = report_from_dict(row.get("report"))
                 except ValueError:
-                    pass  # a missing or malformed report is recomputed and superseded
+                    cached = None  # a missing or malformed report is recomputed and superseded
+                if cached and (cached.shape, cached.cubic, cached.mode) == (shape, cubic, mode):
+                    return cached
         config = SearchConfig(
             mode=mode,
             cubic=cubic,

@@ -228,6 +228,24 @@ class TestCacheRows:
         assert len(rows) == 5  # one per canonical shape, none written twice
         assert sum(1 for row in rows if row["shape"] == [2, 2]) == 1
 
+    def test_report_for_another_key_is_a_miss(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        sweep = ("verify", "theorem1", "--max-dim", "2", "--max-side", "2", "--cache", str(cache))
+        assert run(capsys, *sweep)[0] == 0
+        code, out, _ = run(capsys, "search", "--shape", "3,3", "--no-cache")
+        assert code == 0
+        with cache.open("a") as handle:  # the 3,3 report filed under the 2,2 key
+            handle.write(dumps_canonical({
+                "shape": [2, 2], "cubic": False, "mode": "min", "engine": "front",
+                "engine_version": ENGINE_VERSION, "report": json.loads(out),
+            }) + "\n")
+        code, out, _ = run(capsys, *sweep)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all(row["status"] == "PASS" for row in rows)
+        assert {"shape": "2,2", "actual": "3"}.items() <= rows[2].items()
+        assert len(cache.read_text().strip().splitlines()) == 7
+
 
 class TestVerify:
     def test_theorem1_small_sweep_passes(self, capsys):

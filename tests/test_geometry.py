@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islands import (
     Brick,
@@ -18,6 +19,7 @@ from islands import (
     shape_symmetries,
     transform_brick,
 )
+from islands.geometry import IntervalMasks
 
 from conftest import B, laminar_systems
 
@@ -105,6 +107,34 @@ class TestPredicates:
             for c in bricks:
                 if contains(b, c):
                     assert contains(a, c)
+
+
+@st.composite
+def candidate_lists(draw):
+    """A shape with d <= 4, a cubic flag, and a shuffled sub-list of its bricks."""
+    d = draw(st.integers(1, 4))
+    max_side = {1: 6, 2: 4, 3: 3, 4: 2}[d]
+    shape = Shape(tuple(draw(st.integers(1, max_side)) for _ in range(d)))
+    cubic = draw(st.booleans())
+    universe = list(enumerate_bricks(shape, cubic))
+    candidates = draw(st.permutations(universe))[: draw(st.integers(0, len(universe)))]
+    return shape, universe, candidates
+
+
+class TestIntervalMasks:
+    @settings(max_examples=30, deadline=None)
+    @given(candidate_lists())
+    def test_masks_agree_with_the_scalar_predicates(self, case):
+        shape, universe, candidates = case
+        table = IntervalMasks(shape, ((b.lo, b.hi) for b in candidates))
+        assert table.all == (1 << len(candidates)) - 1
+        for query in universe:
+            inside, around, apart = table.relations(query)
+            for i, other in enumerate(candidates):
+                assert (inside >> i) & 1 == contains(query, other)
+                assert (around >> i) & 1 == contains(other, query)
+                assert (apart >> i) & 1 == disjoint(query, other)
+                assert (inside & around) >> i & 1 == (query == other)
 
 
 class TestEnumeration:

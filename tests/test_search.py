@@ -299,6 +299,23 @@ def test_computed_values_respect_the_closed_form_bounds():
         assert extremal_size(cube, SearchConfig(mode="min", cubic=True)).value == m
 
 
+@pytest.mark.parametrize(
+    "search,dims,mode,cubic,expected",
+    [
+        (extremal_size, (5, 4), "max", False, (14, 28754, 123)),
+        (extremal_size, (4, 3, 2), "max", False, (13, 12534, 81)),
+        (extremal_size, (2, 2, 2, 2), "min", False, (5, 121, 16)),
+        (extremal_size, (3, 3, 3), "max", True, (9, 2107, 782)),
+        (flat_extremal_size, (3, 3), "max", False, (7, 1083, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, (4, 263, 0)),
+    ],
+)
+def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
+    # The walks read the region and compatibility masks; a wrong mask moves a count.
+    report = search(Shape(dims), SearchConfig(mode=mode, cubic=cubic))
+    assert (report.value, report.nodes_explored, report.memo_hits) == expected
+
+
 def test_report_is_a_frozen_record():
     report = extremal_size(Shape((2, 2)), SearchConfig(mode="min"))
     assert dataclasses.is_dataclass(report)

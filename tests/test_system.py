@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islands import (
     IslandSystem,
     Shape,
     addable_bricks,
+    compatible,
     enumerate_bricks,
     enumerate_maximal_systems,
     gap_profiles,
@@ -107,6 +109,33 @@ class TestAddable:
             for brick in enumerate_bricks(shape):
                 if brick not in members:
                     assert not is_laminar(list(system.bricks) + [brick])
+
+
+def scalar_addable(system):
+    """Reference addability scan over the scalar predicates."""
+    return [
+        cand
+        for cand in enumerate_bricks(system.shape, system.cubic)
+        if cand not in system.bricks and all(compatible(cand, b) for b in system.bricks)
+    ]
+
+
+def scalar_greedy(system):
+    while additions := scalar_addable(system):
+        system = IslandSystem(system.shape, system.bricks + (additions[0],), cubic=system.cubic)
+    return system
+
+
+class TestAgainstScalarScan:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(laminar_systems(), laminar_systems(cubic=True)))
+    def test_masks_match_the_scalar_scan(self, system):
+        completed = scalar_greedy(system)
+        assert greedy_complete(system) == completed
+        for case in (system, completed):
+            expected = scalar_addable(case)
+            assert addable_bricks(case) == expected
+            assert is_maximal(case) == (not expected)
 
 
 class TestRestrict:
