@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -43,6 +44,13 @@ def _parse_shape(text: str) -> Shape:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="islands",
@@ -74,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep a claim suite and print a pass/fail table")
     p.add_argument("suite", choices=["theorem1", "theorem2", "theorem3",
                                      "prior-work", "classification", "corollaries"])
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--max-side", type=int, default=3)
+    p.add_argument("--max-dim", type=_positive_int, default=2)
+    p.add_argument("--max-side", type=_positive_int, default=3)
     p.add_argument("--shape", type=_parse_shape, action="append", default=None,
                    help="explicit shape (repeatable; classification and corollaries)")
     p.add_argument("--engine", choices=["front", "flat"], default="front")
@@ -219,20 +227,11 @@ def cmd_verify(args) -> int:
 
 def _csv_lines(rows: list[dict]) -> list[str]:
     header = ["shape", "cubic", "mode", "expected", "actual", "status"]
-
-    class _Sink:
-        def __init__(self):
-            self.lines = []
-
-        def write(self, chunk):
-            self.lines.append(chunk.rstrip("\r\n"))
-
-    sink = _Sink()
-    writer = csv.writer(sink)
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[name] for name in header])
-    return sink.lines
+    writer.writerows([row[name] for name in header] for row in rows)
+    return sink.getvalue().splitlines()
 
 
 if __name__ == "__main__":

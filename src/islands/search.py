@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .errors import CapExceeded
 from .geometry import Brick, IntervalMasks, Shape, brick_count, contains, disjoint, enumerate_bricks
-from .system import IslandSystem, canonical_form
+from .system import IslandSystem
 
 ENGINE_VERSION = "1"
 
@@ -42,16 +42,16 @@ DEFAULT_NODE_CAP = 10 ** 8
 
 @dataclass
 class SearchConfig:
-    """Knobs for one search run.
+    """Knobs for one search run: what to optimize, and the caps.
 
     ``brick_count_cap`` of ``None`` means the engine default (200 for the
     front engine, 40 for the flat one).  Exceeding any cap raises
     :class:`~islands.errors.CapExceeded`; nothing is ever silently truncated.
+    The front engine always memoizes by the sorted side lengths.
     """
 
     mode: str = "min"
     cubic: bool = False
-    use_symmetry: bool = True
     brick_count_cap: int | None = None
     node_cap: int = DEFAULT_NODE_CAP
 
@@ -115,17 +115,25 @@ class _Counter:
             )
 
 
+def _check_brick_cap(shape: Shape, cubic: bool, cap: int) -> None:
+    total = brick_count(shape, cubic)
+    if total > cap:
+        raise CapExceeded(f"shape {shape} has {total} candidate bricks, cap is {cap}")
+
+
 class _Region:
     """Candidate bricks of one region plus the pairwise masks the DFS needs.
 
     ``disj[j]`` holds, as a bitmask over candidate indices, the candidates
-    disjoint from c_j; ``ok[j]`` the candidates i != j that c_j contains or
-    is disjoint from.  Candidate j breaks a front's saturation exactly when
-    the front's index mask is a subset of ``ok[j]``.  Both rows are read off
-    the :class:`~islands.geometry.IntervalMasks` of the candidate list.
+    disjoint from c_j; ``keep[j]`` the candidates i != j that contain c_j or
+    are disjoint from it.  Candidate i breaks a front's saturation exactly
+    when it is in ``keep`` of every member, so the AND of the members'
+    ``keep`` rows is the set of candidates that could still sit on top of
+    the front.  Both rows are read off the
+    :class:`~islands.geometry.IntervalMasks` of the candidate list.
     """
 
-    __slots__ = ("bricks", "n", "disj", "ok", "all_mask")
+    __slots__ = ("bricks", "disj", "keep", "all_mask")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
@@ -133,15 +141,14 @@ class _Region:
         bricks = [b for b in enumerate_bricks(shape, cubic) if b != full]
         table = IntervalMasks(shape, ((b.lo, b.hi) for b in bricks))
         disj = []
-        ok = []
+        keep = []
         for j, brick in enumerate(bricks):
-            inside, _, apart = table.relations(brick)
+            _, around, apart = table.relations(brick)
             disj.append(apart)
-            ok.append((apart | inside) & ~(1 << j))
+            keep.append((around | apart) & ~(1 << j))
         self.bricks = bricks
-        self.n = len(bricks)
         self.disj = disj
-        self.ok = ok
+        self.keep = keep
         self.all_mask = table.all
 
 
@@ -150,33 +157,28 @@ def _saturated_front_masks(region: _Region, counter: _Counter) -> Iterator[tuple
 
     Fronts are grown by appending candidates in increasing index order, so
     each disjoint family is visited once.  Only families that no candidate
-    is disjoint from (``allowed == 0``) can be saturated, which keeps the
-    full saturation scan off the hot path.
+    is disjoint from (``allowed == 0``) can be saturated.  The walk carries
+    ``breakers``, the AND of the members' ``keep`` rows: the candidates that
+    contain or avoid every member.  Such a family is saturated iff that
+    mask is empty, so a leaf costs one comparison.
     """
-    n = region.n
     disj = region.disj
-    ok = region.ok
+    keep = region.keep
 
-    def saturated(fmask: int) -> bool:
-        for j in range(n):
-            if not (fmask >> j) & 1 and fmask & ~ok[j] == 0:
-                return False
-        return True
-
-    def walk(members: tuple[int, ...], fmask: int, allowed: int, start: int):
+    def walk(members: tuple[int, ...], breakers: int, allowed: int, start: int):
         counter.tick()
         if allowed == 0:
-            if saturated(fmask):
+            if breakers == 0:
                 yield members
             return
         ext = allowed >> start << start
         while ext:
             low = ext & -ext
             v = low.bit_length() - 1
-            yield from walk(members + (v,), fmask | low, allowed & disj[v], v + 1)
+            yield from walk(members + (v,), breakers & keep[v], allowed & disj[v], v + 1)
             ext ^= low
 
-    yield from walk((), 0, region.all_mask, 0)
+    yield from walk((), region.all_mask, region.all_mask, 0)
 
 
 def front_is_saturated(front: Front, cubic: bool = False) -> bool:
@@ -198,10 +200,7 @@ def front_is_saturated(front: Front, cubic: bool = False) -> bool:
 
 
 def enumerate_saturated_fronts(
-    region: Shape,
-    cubic: bool = False,
-    brick_count_cap: int = FRONT_BRICK_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
+    region: Shape, cubic: bool = False, brick_count_cap: int = FRONT_BRICK_CAP
 ) -> Iterator[Front]:
     """Every saturated front of the region, exactly once.
 
@@ -211,18 +210,10 @@ def enumerate_saturated_fronts(
     top layers of maximal systems.  The empty front appears only for a
     region with no proper sub-brick, i.e. a single elementary cell.
     """
-    if brick_count(region, cubic) > brick_count_cap:
-        raise CapExceeded(
-            f"region {region} has more than {brick_count_cap} candidate bricks"
-        )
+    _check_brick_cap(region, cubic, brick_count_cap)
     table = _Region(region.dims, cubic)
-    counter = _Counter(node_cap)
-
-    def fronts() -> Iterator[Front]:
-        for members in _saturated_front_masks(table, counter):
-            yield Front(region, tuple(table.bricks[i] for i in members))
-
-    return fronts()
+    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP))
+    return (Front(region, tuple(table.bricks[i] for i in members)) for members in fronts)
 
 
 class _FrontEngine:
@@ -236,16 +227,15 @@ class _FrontEngine:
     regions, and axis relabeling is a bijection on systems.
     """
 
-    def __init__(self, mode: str, cubic: bool, use_symmetry: bool, counter: _Counter):
+    def __init__(self, mode: str, cubic: bool, counter: _Counter):
         self.minimizing = mode == "min"
         self.cubic = cubic
-        self.use_symmetry = use_symmetry
         self.counter = counter
         # key -> (value, best front bricks, dims the front was computed in)
         self.memo: dict[tuple[int, ...], tuple[int, tuple[Brick, ...], tuple[int, ...]]] = {}
 
     def key(self, dims: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(dims, reverse=True)) if self.use_symmetry else dims
+        return tuple(sorted(dims, reverse=True))
 
     def base(self, dims: tuple[int, ...]) -> int:
         return 1 if not self.cubic or len(set(dims)) == 1 else 0
@@ -309,28 +299,32 @@ def _permute_brick(brick: Brick, axis_map: list[int]) -> Brick:
     )
 
 
-def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
-    """Minimum or maximum size of a maximal system, by front decomposition."""
+def _run(shape: Shape, config: SearchConfig, default_cap: int, solve) -> ExtremalReport:
+    """Check the brick cap, call ``solve(counter) -> (value, bricks)``, report."""
     started = time.perf_counter()
-    cap = config.brick_count_cap if config.brick_count_cap is not None else FRONT_BRICK_CAP
-    total = brick_count(shape, config.cubic)
-    if total > cap:
-        raise CapExceeded(f"shape {shape} has {total} candidate bricks, cap is {cap}")
+    _check_brick_cap(shape, config.cubic, config.brick_count_cap or default_cap)
     counter = _Counter(config.node_cap)
-    engine = _FrontEngine(config.mode, config.cubic, config.use_symmetry, counter)
-    value = engine.value(shape.dims)
-    witness = IslandSystem(shape, engine.witness_bricks(shape.dims), cubic=config.cubic)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    value, bricks = solve(counter)
     return ExtremalReport(
         shape=shape,
         cubic=config.cubic,
         mode=config.mode,
         value=value,
-        witness=witness,
+        witness=IslandSystem(shape, bricks, cubic=config.cubic),
         nodes_explored=counter.nodes,
         memo_hits=counter.memo_hits,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=int((time.perf_counter() - started) * 1000),
     )
+
+
+def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
+    """Minimum or maximum size of a maximal system, by front decomposition."""
+
+    def solve(counter: _Counter) -> tuple[int, list[Brick]]:
+        engine = _FrontEngine(config.mode, config.cubic, counter)
+        return engine.value(shape.dims), engine.witness_bricks(shape.dims)
+
+    return _run(shape, config, FRONT_BRICK_CAP, solve)
 
 
 def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
@@ -340,23 +334,11 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     cleverness is pruning branches in which some excluded brick would stay
     addable forever.  Restricted to small brick universes by default.
     """
-    started = time.perf_counter()
-    cap = config.brick_count_cap if config.brick_count_cap is not None else FLAT_BRICK_CAP
-    total = brick_count(shape, config.cubic)
-    if total > cap:
-        raise CapExceeded(f"shape {shape} has {total} candidate bricks, cap is {cap}")
-    counter = _Counter(config.node_cap)
-    value, bricks = _flat_best(shape, config.mode, config.cubic, counter)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return ExtremalReport(
-        shape=shape,
-        cubic=config.cubic,
-        mode=config.mode,
-        value=value,
-        witness=IslandSystem(shape, bricks, cubic=config.cubic),
-        nodes_explored=counter.nodes,
-        memo_hits=0,
-        elapsed_ms=elapsed_ms,
+    return _run(
+        shape,
+        config,
+        FLAT_BRICK_CAP,
+        lambda counter: _flat_best(shape, config.mode, config.cubic, counter),
     )
 
 
@@ -430,32 +412,15 @@ def _maximal_families(
 
 
 def enumerate_maximal_systems(
-    shape: Shape,
-    cubic: bool = False,
-    cap: int = FLAT_BRICK_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-    up_to_symmetry: bool = False,
+    shape: Shape, cubic: bool = False, cap: int = FLAT_BRICK_CAP
 ) -> Iterator[IslandSystem]:
     """Every maximal system of the shape, each exactly once, in sorted form.
 
-    With ``up_to_symmetry`` only one canonical representative per symmetry
-    orbit is yielded.  Driven by the same flat backtracking as
-    :func:`flat_extremal_size`, so it is independent of the front engine.
+    Driven by the same flat backtracking as :func:`flat_extremal_size`, so
+    it is independent of the front engine.  The brick cap is checked on the
+    call, before the first system is asked for; symmetry classes are
+    :func:`~islands.system.canonical_form`'s job.
     """
-    total = brick_count(shape, cubic)
-    if total > cap:
-        raise CapExceeded(f"shape {shape} has {total} candidate bricks, cap is {cap}")
-    counter = _Counter(node_cap)
-
-    def systems() -> Iterator[IslandSystem]:
-        seen: set[tuple[Brick, ...]] = set()
-        for family in _maximal_families(shape, cubic, counter):
-            system = IslandSystem(shape, family, cubic=cubic)
-            if up_to_symmetry:
-                system = canonical_form(system)
-                if system.bricks in seen:
-                    continue
-                seen.add(system.bricks)
-            yield system
-
-    return systems()
+    _check_brick_cap(shape, cubic, cap)
+    families = _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP))
+    return (IslandSystem(shape, family, cubic=cubic) for family in families)

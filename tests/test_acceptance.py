@@ -179,9 +179,6 @@ def test_criterion_7_oracle_equivalence():
                     "front": extremal_size(
                         shape, SearchConfig(mode=mode, cubic=cubic)
                     ).value,
-                    "front-raw": extremal_size(
-                        shape, SearchConfig(mode=mode, cubic=cubic, use_symmetry=False)
-                    ).value,
                     "flat": flat_extremal_size(
                         shape, SearchConfig(mode=mode, cubic=cubic)
                     ).value,

@@ -300,6 +300,27 @@ class TestVerify:
                          "--max-side", "5", "--strict", "--no-cache")
         assert code == 1
 
+    def test_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",
+                           "--max-side", "1", "--no-cache")
+        assert code == 0
+        assert out == (
+            "shape,cubic,mode,expected,actual,status\n"
+            "1,False,min,1,1,PASS\n"
+            '"1,1",False,min,1,1,PASS\n'
+        )
+
+    @pytest.mark.parametrize("option", ["--max-dim", "--max-side"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_sweep_bounds_are_usage_errors(self, capsys, option, value):
+        # an empty sweep would print an empty table and report "verified"
+        for strict in ([], ["--strict"]):
+            code, out, err = run(capsys, "verify", "theorem1", option, value,
+                                 "--no-cache", *strict)
+            assert code == 2
+            assert out == ""
+            assert "must be positive" in err
+
     def test_verify_is_resumable_through_the_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         code, first, _ = run(capsys, "verify", "theorem2", "--max-dim", "2",
@@ -336,3 +357,12 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 10
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_library_example_prints_its_values(capsys):
+    """The README's `## Library` Python block runs and prints what its comments say."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["5", "5", "170"]
