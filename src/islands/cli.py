@@ -20,7 +20,7 @@ from .constructors import (
 )
 from .errors import CapExceeded
 from .geometry import Shape
-from .search import DEFAULT_NODE_CAP
+from .search import DEFAULT_NODE_CAP, ENGINES
 from .serialize import (
     dumps_canonical,
     report_to_dict,
@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--mode", choices=["min", "max"], default="min")
     p.add_argument("--cubic", action="store_true")
-    p.add_argument("--engine", choices=["front", "flat"], default="front")
-    p.add_argument("--brick-cap", type=int, default=None)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--engine", choices=list(ENGINES), default="front")
+    p.add_argument("--brick-cap", type=_positive_int, default=None)
+    p.add_argument("--node-cap", type=_positive_int, default=DEFAULT_NODE_CAP)
     p.add_argument("--cache", default=None, help="results cache path (JSON lines)")
     p.add_argument("--no-cache", action="store_true")
 
@@ -86,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-side", type=_positive_int, default=3)
     p.add_argument("--shape", type=_parse_shape, action="append", default=None,
                    help="explicit shape (repeatable; classification and corollaries)")
-    p.add_argument("--engine", choices=["front", "flat"], default="front")
+    p.add_argument("--engine", choices=list(ENGINES), default="front")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--strict", action="store_true", help="treat SKIPPED rows as failures")
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--output", "-o", help="write the table to this path as well")
+    p.add_argument("--output", "-o", help="write the table to this path instead of stdout")
 
     return parser
 
@@ -226,11 +226,10 @@ def cmd_verify(args) -> int:
 
 
 def _csv_lines(rows: list[dict]) -> list[str]:
-    header = ["shape", "cubic", "mode", "expected", "actual", "status"]
     sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([row[name] for name in header] for row in rows)
+    writer = csv.DictWriter(sink, sweeps.COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return sink.getvalue().splitlines()
 
 

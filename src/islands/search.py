@@ -30,13 +30,16 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceeded
-from .geometry import Brick, IntervalMasks, Shape, brick_count, contains, disjoint, enumerate_bricks
+from .geometry import (Brick, IntervalMasks, Shape, brick_count, contains, disjoint,
+                       enumerate_bricks, transform_brick)
 from .system import IslandSystem
 
 ENGINE_VERSION = "1"
 
 FRONT_BRICK_CAP = 200
 FLAT_BRICK_CAP = 40
+# Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
+ENGINES = {"front": FRONT_BRICK_CAP, "flat": FLAT_BRICK_CAP}
 DEFAULT_NODE_CAP = 10 ** 8
 
 
@@ -115,7 +118,7 @@ class _Counter:
             )
 
 
-def _check_brick_cap(shape: Shape, cubic: bool, cap: int) -> None:
+def check_brick_cap(shape: Shape, cubic: bool, cap: int) -> None:
     total = brick_count(shape, cubic)
     if total > cap:
         raise CapExceeded(f"shape {shape} has {total} candidate bricks, cap is {cap}")
@@ -199,18 +202,17 @@ def front_is_saturated(front: Front, cubic: bool = False) -> bool:
     return True
 
 
-def enumerate_saturated_fronts(
-    region: Shape, cubic: bool = False, brick_count_cap: int = FRONT_BRICK_CAP
-) -> Iterator[Front]:
+def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[Front]:
     """Every saturated front of the region, exactly once.
 
     A front is saturated when no other brick of the region (cube, in cubic
     mode) contains or is disjoint from every member; such a brick could be
     added on top of the front, so saturated fronts are exactly the possible
     top layers of maximal systems.  The empty front appears only for a
-    region with no proper sub-brick, i.e. a single elementary cell.
+    region with no proper sub-brick, i.e. a single elementary cell.  The
+    region is held to the front engine's default brick cap.
     """
-    _check_brick_cap(region, cubic, brick_count_cap)
+    check_brick_cap(region, cubic, FRONT_BRICK_CAP)
     table = _Region(region.dims, cubic)
     fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP))
     return (Front(region, tuple(table.bricks[i] for i in members)) for members in fronts)
@@ -263,46 +265,39 @@ class _FrontEngine:
         return best_value
 
     def witness_bricks(self, dims: tuple[int, ...]) -> list[Brick]:
-        """Replay the stored optimal fronts into an explicit brick list."""
+        """Replay the stored optimal fronts into an explicit brick list.
+
+        A front memoized in a permutation of ``dims`` is mapped over with
+        ``transform_brick`` (no flips) along :func:`_axis_assignment`.
+        """
+        shape = Shape(dims)
         _, front, entry_dims = self.memo[self.key(dims)]
         if entry_dims != dims:
-            axis_map = _axis_assignment(entry_dims, dims)
-            front = tuple(_permute_brick(b, axis_map) for b in front)
+            perm = _axis_assignment(entry_dims, dims)
+            front = tuple(transform_brick(b, shape, perm, (False,) * len(dims)) for b in front)
         bricks: list[Brick] = []
         if self.base(dims):
-            bricks.append(Shape(dims).full_brick())
+            bricks.append(shape.full_brick())
         for member in front:
             for sub in self.witness_bricks(member.sides()):
                 bricks.append(sub.translate(member.lo))
         return bricks
 
 
-def _axis_assignment(src_dims: tuple[int, ...], dst_dims: tuple[int, ...]) -> list[int]:
-    """For each destination axis, a distinct source axis of equal length."""
-    used = [False] * len(src_dims)
-    mapping = []
-    for want in dst_dims:
-        for j, have in enumerate(src_dims):
-            if not used[j] and have == want:
-                used[j] = True
-                mapping.append(j)
-                break
-        else:
-            raise AssertionError(f"{src_dims} and {dst_dims} are not permutations")
-    return mapping
-
-
-def _permute_brick(brick: Brick, axis_map: list[int]) -> Brick:
-    return Brick(
-        tuple(brick.lo[j] for j in axis_map),
-        tuple(brick.hi[j] for j in axis_map),
-    )
+def _axis_assignment(src_dims: tuple[int, ...], dst_dims: tuple[int, ...]) -> tuple[int, ...]:
+    """For each destination axis, a distinct source axis of equal length: stable
+    sorts by length pair the k-th axis of each length in both frames."""
+    mapping = [0] * len(dst_dims)
+    for i, j in zip(sorted(range(len(dst_dims)), key=dst_dims.__getitem__),
+                    sorted(range(len(src_dims)), key=src_dims.__getitem__)):
+        mapping[i] = j
+    return tuple(mapping)
 
 
 def _run(shape: Shape, config: SearchConfig, default_cap: int, solve) -> ExtremalReport:
     """Check the brick cap, call ``solve(counter) -> (value, bricks)``, report."""
     started = time.perf_counter()
-    _check_brick_cap(shape, config.cubic, config.brick_count_cap or default_cap)
+    check_brick_cap(shape, config.cubic, config.brick_count_cap or default_cap)
     counter = _Counter(config.node_cap)
     value, bricks = solve(counter)
     return ExtremalReport(
@@ -334,28 +329,13 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     cleverness is pruning branches in which some excluded brick would stay
     addable forever.  Restricted to small brick universes by default.
     """
-    return _run(
-        shape,
-        config,
-        FLAT_BRICK_CAP,
-        lambda counter: _flat_best(shape, config.mode, config.cubic, counter),
-    )
 
+    def solve(counter: _Counter) -> tuple[int, tuple[Brick, ...]]:
+        pick = min if config.mode == "min" else max  # both keep the first extreme family
+        best = pick(_maximal_families(shape, config.cubic, counter), key=len)
+        return len(best), best
 
-def _flat_best(
-    shape: Shape, mode: str, cubic: bool, counter: _Counter
-) -> tuple[int, tuple[Brick, ...]]:
-    minimizing = mode == "min"
-    best_size = None
-    best = None
-    for family in _maximal_families(shape, cubic, counter):
-        size = len(family)
-        if best_size is None or (size < best_size if minimizing else size > best_size):
-            best_size = size
-            best = family
-    if best is None:
-        raise AssertionError(f"no maximal system found in shape {shape}")
-    return best_size, best
+    return _run(shape, config, FLAT_BRICK_CAP, solve)
 
 
 def _maximal_families(
@@ -421,6 +401,6 @@ def enumerate_maximal_systems(
     call, before the first system is asked for; symmetry classes are
     :func:`~islands.system.canonical_form`'s job.
     """
-    _check_brick_cap(shape, cubic, cap)
+    check_brick_cap(shape, cubic, cap)
     families = _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP))
     return (IslandSystem(shape, family, cubic=cubic) for family in families)

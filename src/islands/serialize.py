@@ -87,8 +87,13 @@ def cache_key(shape: Shape, cubic: bool, mode: str, engine: str, engine_version:
     }
 
 
-def cache_lookup(path: str, key: dict) -> dict | None:
-    """Last cached report whose key fields all match exactly, if any."""
+def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
+    """The report of the last row whose key fields all match, if it checks out.
+
+    Lines that are not JSON objects are skipped.  The last key-matching row
+    decides: it is a miss (``None``) when its report is missing or malformed,
+    or describes another shape, cubic flag or mode than the key.
+    """
     if not os.path.exists(path):
         return None
     found = None
@@ -105,7 +110,14 @@ def cache_lookup(path: str, key: dict) -> dict | None:
                 continue
             if all(row.get(name) == value for name, value in key.items()):
                 found = row
-    return found
+    if found is None:
+        return None
+    try:
+        report = report_from_dict(found.get("report"))
+    except ValueError:
+        return None
+    fields = (list(report.shape.dims), report.cubic, report.mode)
+    return report if fields == (key["shape"], key["cubic"], key["mode"]) else None
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:

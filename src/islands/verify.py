@@ -1,9 +1,9 @@
 """Verification sweeps: recompute closed-form claims by exhaustive search.
 
-Each suite produces one row per checked instance with the columns
-(shape, cubic, mode, expected, actual, status).  A row whose search hits a
-resource cap is marked SKIPPED rather than failing the sweep; everything
-else is PASS or FAIL by exact integer comparison.
+Each suite produces one row per checked instance with the columns of
+:data:`COLUMNS`.  A row whose search hits a resource cap is marked SKIPPED
+rather than failing the sweep; everything else is PASS or FAIL by exact
+integer comparison.
 """
 
 from __future__ import annotations
@@ -23,28 +23,33 @@ from .geometry import Brick, Shape, contains
 from .search import (
     DEFAULT_NODE_CAP,
     ENGINE_VERSION,
+    ENGINES,
     ExtremalReport,
     SearchConfig,
+    check_brick_cap,
     enumerate_maximal_systems,
     extremal_size,
     flat_extremal_size,
 )
-from .serialize import cache_append, cache_key, cache_lookup, report_from_dict, report_to_dict
+from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
 from .system import IslandSystem, gap_profiles, is_maximal, max_elements, restrict
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+COLUMNS = ("shape", "cubic", "mode", "expected", "actual", "status")
+ONEDIM_MAX = 6  # longest segment the corollary sweep's onedim rows check
 
 
 @dataclass
 class Searcher:
     """Runs extremal searches through the persistent report cache.
 
-    A cached row is reused only when shape, cubic flag, mode, engine name
-    and engine version all match, its report parses, and the report's own
-    shape, cubic flag and mode are the ones asked for; any other row is a
-    miss, recomputed and appended.  ``cache_path=None`` disables caching.
+    ``engine`` must name an entry of ``search.ENGINES``.  Caps decide the same
+    with or without a cache: the brick cap is checked before the lookup, and
+    a cached report that took more than ``node_cap`` nodes raises
+    ``CapExceeded``.  ``serialize.cache_lookup`` decides which rows are hits;
+    a miss is computed and appended.  ``cache_path=None`` disables caching.
     """
 
     engine: str = "front"
@@ -52,42 +57,45 @@ class Searcher:
     brick_count_cap: int | None = None
     node_cap: int = DEFAULT_NODE_CAP
 
-    def report(self, shape: Shape, mode: str, cubic: bool = False) -> ExtremalReport:
-        key = cache_key(shape, cubic, mode, self.engine, ENGINE_VERSION)
-        if self.cache_path:
-            row = cache_lookup(self.cache_path, key)
-            if row is not None:
-                try:
-                    cached = report_from_dict(row.get("report"))
-                except ValueError:
-                    cached = None  # a missing or malformed report is recomputed and superseded
-                if cached and (cached.shape, cached.cubic, cached.mode) == (shape, cubic, mode):
-                    return cached
-        config = SearchConfig(
-            mode=mode,
-            cubic=cubic,
-            brick_count_cap=self.brick_count_cap,
-            node_cap=self.node_cap,
-        )
-        run = extremal_size if self.engine == "front" else flat_extremal_size
-        report = run(shape, config)
-        if self.cache_path:
-            cache_append(self.cache_path, key, report_to_dict(report))
-        return report
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}, expected one of {list(ENGINES)}")
 
-    def value(self, shape: Shape, mode: str, cubic: bool = False) -> int:
-        return self.report(shape, mode, cubic).value
+    def report(self, shape: Shape, mode: str, cubic: bool = False) -> ExtremalReport:
+        config = SearchConfig(mode=mode, cubic=cubic, brick_count_cap=self.brick_count_cap,
+                              node_cap=self.node_cap)
+        check_brick_cap(shape, cubic, config.brick_count_cap or ENGINES[self.engine])
+        key = cache_key(shape, cubic, mode, self.engine, ENGINE_VERSION)
+        report = cache_lookup(self.cache_path, key) if self.cache_path else None
+        if report is None:
+            run = extremal_size if self.engine == "front" else flat_extremal_size
+            report = run(shape, config)
+            if self.cache_path:
+                cache_append(self.cache_path, key, report_to_dict(report))
+        elif report.nodes_explored > config.node_cap:  # where a fresh run would stop
+            raise CapExceeded(f"node cap {config.node_cap} exceeded by the cached report",
+                              nodes_explored=report.nodes_explored, memo_hits=report.memo_hits)
+        return report
 
 
 def _row(shape: Shape, cubic: bool, mode: str, expected, actual, status: str) -> dict:
-    return {
-        "shape": ",".join(str(m) for m in shape.dims),
-        "cubic": cubic,
-        "mode": mode,
-        "expected": expected,
-        "actual": actual,
-        "status": status,
-    }
+    values = (",".join(map(str, shape.dims)), cubic, mode, expected, actual, status)
+    return dict(zip(COLUMNS, values))
+
+
+def _search_rows(searcher: Searcher, cubic: bool, mode: str, cases, passes=None) -> list[dict]:
+    """One row per ``(shape, expected)`` case: SKIPPED on a cap, else PASS iff
+    ``passes(shape, expected, actual)``, by default ``actual == expected``."""
+    rows = []
+    for shape, expected in cases:
+        try:
+            actual = searcher.report(shape, mode, cubic).value
+        except CapExceeded:
+            rows.append(_row(shape, cubic, mode, expected, "", SKIPPED))
+            continue
+        ok = passes(shape, expected, actual) if passes else actual == expected
+        rows.append(_row(shape, cubic, mode, expected, actual, PASS if ok else FAIL))
+    return rows
 
 
 def canonical_shapes(max_dim: int, max_side: int) -> list[Shape]:
@@ -101,32 +109,14 @@ def canonical_shapes(max_dim: int, max_side: int) -> list[Shape]:
 
 def theorem1_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]:
     """Minimum maximal-system size equals sum of sides minus (d - 1)."""
-    rows = []
-    for shape in canonical_shapes(max_dim, max_side):
-        expected = min_brick_system_size(shape)
-        try:
-            actual = searcher.value(shape, "min")
-        except CapExceeded:
-            rows.append(_row(shape, False, "min", expected, "", SKIPPED))
-            continue
-        rows.append(_row(shape, False, "min", expected, actual,
-                         PASS if actual == expected else FAIL))
-    return rows
+    shapes = canonical_shapes(max_dim, max_side)
+    return _search_rows(searcher, False, "min", ((s, min_brick_system_size(s)) for s in shapes))
 
 
 def theorem2_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]:
     """Minimum maximal cubic-system size in an m-cube equals m."""
-    rows = []
-    for d in range(1, max_dim + 1):
-        for m in range(1, max_side + 1):
-            shape = Shape((m,) * d)
-            try:
-                actual = searcher.value(shape, "min", cubic=True)
-            except CapExceeded:
-                rows.append(_row(shape, True, "min", m, "", SKIPPED))
-                continue
-            rows.append(_row(shape, True, "min", m, actual, PASS if actual == m else FAIL))
-    return rows
+    cubes = [Shape((m,) * d) for d in range(1, max_dim + 1) for m in range(1, max_side + 1)]
+    return _search_rows(searcher, True, "min", ((s, s.dims[0]) for s in cubes))
 
 
 def theorem3_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]:
@@ -135,38 +125,27 @@ def theorem3_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]
     The bound column holds the floor; for m one less than a power of two the
     bound must be attained exactly.
     """
-    rows = []
-    for d in range(1, max_dim + 1):
-        for m in range(1, max_side + 1):
-            shape = Shape((m,) * d)
-            bound = int(max_cube_system_bound(d, m))
-            try:
-                actual = searcher.value(shape, "max", cubic=True)
-            except CapExceeded:
-                rows.append(_row(shape, True, "max", bound, "", SKIPPED))
-                continue
-            tight = (m + 1) & m == 0  # m + 1 is a power of two
-            ok = actual <= bound and (not tight or actual == bound)
-            rows.append(_row(shape, True, "max", bound, actual, PASS if ok else FAIL))
-    return rows
+
+    def passes(shape: Shape, bound: int, actual: int) -> bool:
+        m = shape.dims[0]
+        tight = (m + 1) & m == 0  # m + 1 is a power of two
+        return actual <= bound and (not tight or actual == bound)
+
+    cubes = [Shape((m,) * d) for d in range(1, max_dim + 1) for m in range(1, max_side + 1)]
+    cases = ((s, int(max_cube_system_bound(s.ndim, s.dims[0]))) for s in cubes)
+    return _search_rows(searcher, True, "max", cases, passes)
 
 
 def prior_work_rows(searcher: Searcher, max_side: int) -> list[dict]:
     """The exact two-dimensional maximum, plus the sandwich bounds around it."""
-    rows = []
-    for m1 in range(1, max_side + 1):
-        for m2 in range(m1, max_side + 1):
-            shape = Shape((m2, m1))
-            expected = max_rect_system_size(m1, m2)
-            try:
-                actual = searcher.value(shape, "max")
-            except CapExceeded:
-                rows.append(_row(shape, False, "max", expected, "", SKIPPED))
-                continue
-            bounds = max_brick_system_bounds(shape)
-            ok = actual == expected and bounds.lower <= actual <= bounds.upper
-            rows.append(_row(shape, False, "max", expected, actual, PASS if ok else FAIL))
-    return rows
+
+    def passes(shape: Shape, expected: int, actual: int) -> bool:
+        bounds = max_brick_system_bounds(shape)
+        return actual == expected and bounds.lower <= actual <= bounds.upper
+
+    cases = ((Shape((m2, m1)), max_rect_system_size(m1, m2))
+             for m1 in range(1, max_side + 1) for m2 in range(m1, max_side + 1))
+    return _search_rows(searcher, False, "max", cases, passes)
 
 
 def classification_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
@@ -202,7 +181,7 @@ def classification_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
     return rows
 
 
-def corollary_rows(shapes: list[Shape], onedim_max: int = 6, cap: int = 60) -> list[dict]:
+def corollary_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
     """Structural facts about every maximal system on the given shapes.
 
     corners: with more than one maximal member, every corner cell of the box
@@ -210,7 +189,7 @@ def corollary_rows(shapes: list[Shape], onedim_max: int = 6, cap: int = 60) -> l
     and a length-2 gap never sits between two elementary cells.  restrict:
     restriction to any member is again maximal and the full brick is always
     a member.  onedim: every maximal system of a segment of length m has
-    exactly m members (checked for m up to ``onedim_max``).
+    exactly m members (checked for m up to ``ONEDIM_MAX``).
     """
     rows = []
     for shape in shapes:
@@ -226,7 +205,7 @@ def corollary_rows(shapes: list[Shape], onedim_max: int = 6, cap: int = 60) -> l
             continue
         for prop, bad in (("corners", corner_bad), ("gaps", gap_bad), ("restrict", restrict_bad)):
             rows.append(_row(shape, False, prop, 0, bad, PASS if bad == 0 else FAIL))
-    for m in range(1, onedim_max + 1):
+    for m in range(1, ONEDIM_MAX + 1):
         shape = Shape((m,))
         bad = sum(
             1 for system in enumerate_maximal_systems(shape, cap=cap) if len(system) != m

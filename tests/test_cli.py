@@ -9,7 +9,7 @@ import pytest
 from islands.cli import build_parser, main
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
-from islands.verify import SKIPPED, classification_rows
+from islands.verify import SKIPPED, Searcher, classification_rows
 from islands import IslandSystem, Shape, nested_min_system
 
 from conftest import B
@@ -247,6 +247,63 @@ class TestCacheRows:
         assert len(cache.read_text().strip().splitlines()) == 7
 
 
+class TestCapsBeforeCache:
+    """A cached row may change how fast a search returns, never its outcome."""
+
+    def test_cached_row_over_the_brick_cap_is_still_skipped(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        code, _, _ = run(capsys, "search", "--shape", "5,5", "--brick-cap", "300",
+                         "--cache", str(cache))
+        assert code == 0
+        sweep = ("verify", "theorem1", "--max-dim", "2", "--max-side", "5")
+        cached = run(capsys, *sweep, "--cache", str(cache))
+        fresh = run(capsys, *sweep, "--no-cache")
+        assert cached == fresh
+        assert '"5,5",False,min,9,,SKIPPED' in cached[1].splitlines()
+        assert run(capsys, *sweep, "--strict", "--cache", str(cache))[0] == 1
+
+    @pytest.mark.parametrize("option,value,expected", [
+        ("--brick-cap", "0", 2),
+        ("--brick-cap", "1", 3),
+        ("--node-cap", "0", 2),
+        ("--node-cap", "1", 3),
+    ])
+    def test_caps_apply_to_a_warm_cache(self, capsys, tmp_path, option, value, expected):
+        cache = tmp_path / "cache.jsonl"
+        assert run(capsys, "search", "--shape", "2,2", "--cache", str(cache))[0] == 0
+        code, out, err = run(capsys, "search", "--shape", "2,2", option, value,
+                             "--cache", str(cache))
+        assert code == expected
+        assert out == ""
+        assert ("must be positive" if expected == 2 else "cap exceeded") in err
+        assert run(capsys, "search", "--shape", "2,2", option, value, "--no-cache")[0] == expected
+        assert len(cache.read_text().strip().splitlines()) == 1
+
+    def test_node_cap_at_the_cached_count_replays(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        code, first, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        nodes = str(json.loads(first)["nodes"])
+        code, second, _ = run(capsys, "search", "--shape", "2,2", "--node-cap", nodes,
+                              "--cache", str(cache))
+        assert (code, second) == (0, first)
+
+
+@pytest.mark.parametrize("caps", [{"brick_count_cap": 0}, {"node_cap": 0}])
+def test_searcher_rejects_non_positive_caps_on_a_warm_cache(tmp_path, caps):
+    cache = str(tmp_path / "cache.jsonl")
+    Searcher(cache_path=cache).report(Shape((2, 2)), "min")
+    with pytest.raises(ValueError, match="must be positive"):
+        Searcher(cache_path=cache, **caps).report(Shape((2, 2)), "min")
+
+
+def test_searcher_rejects_an_unknown_engine(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    with pytest.raises(ValueError, match="engine"):
+        Searcher(engine="Front", cache_path=str(cache))
+    assert not cache.exists()
+
+
 class TestVerify:
     def test_theorem1_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",
@@ -299,6 +356,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",
                          "--max-side", "5", "--strict", "--no-cache")
         assert code == 1
+
+    def test_output_file_replaces_stdout(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        argv = ("verify", "theorem1", "--max-dim", "2", "--max-side", "1", "--no-cache")
+        code, out, _ = run(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_text() == run(capsys, *argv)[1]
+        assert target.read_text().startswith("shape,cubic,mode,expected,actual,status\n")
 
     def test_csv_bytes(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--max-dim", "2",

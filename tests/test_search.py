@@ -125,7 +125,7 @@ class TestSaturatedFronts:
 
     def test_region_cap(self):
         with pytest.raises(CapExceeded):
-            list(enumerate_saturated_fronts(Shape((9, 9)), brick_count_cap=40))
+            list(enumerate_saturated_fronts(Shape((9, 9))))
 
 
 class TestSearchConfig:
@@ -311,6 +311,32 @@ def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
     # The walks read the region and compatibility masks; a wrong mask moves a count.
     report = search(Shape(dims), SearchConfig(mode=mode, cubic=cubic))
     assert (report.value, report.nodes_explored, report.memo_hits) == expected
+
+
+# Bricks written as "lo-hi" digit strings.  4,5 max replays a memo entry of
+# 1,2 into 2,1; 2,3,2 max and 2,3,4 max replay entries with two equal sides,
+# where only the stable-sort pairing of equal axes gives these bricks.
+PINNED_WITNESSES = [
+    ((4, 5), "max", "00-11 00-15 00-45 02-13 02-15 04-15 20-31 20-41 20-45 22-33 22-43 22-45 "
+                    "24-35 24-45"),
+    ((2, 3, 4), "min", "000-111 000-114 000-124 000-134 000-234 002-113 002-114"),
+    ((3, 4, 2), "max", "000-111 000-112 000-142 000-342 020-131 020-132 020-142 200-311 200-312 "
+                       "200-342 220-331 220-332 220-342"),
+    ((2, 3, 2), "max", "000-111 000-112 000-212 000-232 020-131 020-132 020-232"),
+    ((2, 3, 4), "max", "000-111 000-211 000-214 000-234 002-113 002-114 002-214 020-131 020-231 "
+                       "020-234 022-133 022-134 022-234"),
+]
+
+
+@pytest.mark.parametrize("dims,mode,bricks", PINNED_WITNESSES,
+                         ids=[f"{','.join(map(str, d))}-{m}" for d, m, _ in PINNED_WITNESSES])
+def test_witness_bricks_are_pinned(dims, mode, bricks):
+    report = extremal_size(Shape(dims), SearchConfig(mode=mode))
+    found = " ".join(
+        "".join(map(str, b.lo)) + "-" + "".join(map(str, b.hi)) for b in report.witness.bricks
+    )
+    assert found == bricks
+    assert report.value == len(bricks.split())
 
 
 def test_report_is_a_frozen_record():
