@@ -25,16 +25,18 @@ reference those masks are tested against, and still check fronts.
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CapExceeded
 from .geometry import (Brick, IntervalMasks, Shape, brick_count, contains, disjoint,
                        enumerate_bricks, transform_brick)
 from .system import IslandSystem
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 FRONT_BRICK_CAP = 200
 FLAT_BRICK_CAP = 40
@@ -134,9 +136,10 @@ class _Region:
     ``keep`` rows is the set of candidates that could still sit on top of
     the front.  Both rows are read off the
     :class:`~islands.geometry.IntervalMasks` of the candidate list.
+    ``sides[j]`` is c_j's own shape and ``points[j]`` its lattice points.
     """
 
-    __slots__ = ("bricks", "disj", "keep", "all_mask")
+    __slots__ = ("bricks", "disj", "keep", "all_mask", "sides", "points")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
@@ -153,10 +156,16 @@ class _Region:
         self.disj = disj
         self.keep = keep
         self.all_mask = table.all
+        self.sides = [tuple(map(operator.sub, b.hi, b.lo)) for b in bricks]
+        lattice = {sides: math.prod(s + 1 for s in sides) for sides in set(self.sides)}
+        self.points = [lattice[sides] for sides in self.sides]
 
 
-def _saturated_front_masks(region: _Region, counter: _Counter) -> Iterator[tuple[int, ...]]:
-    """Index tuples of the region's saturated fronts, in lexicographic order.
+def _saturated_front_masks(
+    region: _Region, counter: _Counter, gain: list[int], prune: Callable[[int, int], bool]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Index tuples of the region's saturated fronts, in lexicographic order,
+    each with ``partial``, the sum of its members' ``gain``.
 
     Fronts are grown by appending candidates in increasing index order, so
     each disjoint family is visited once.  Only families that no candidate
@@ -164,24 +173,34 @@ def _saturated_front_masks(region: _Region, counter: _Counter) -> Iterator[tuple
     ``breakers``, the AND of the members' ``keep`` rows: the candidates that
     contain or avoid every member.  Such a family is saturated iff that
     mask is empty, so a leaf costs one comparison.
+
+    It also carries ``used``, the members' lattice points, and drops a node
+    with ``allowed != 0`` (every front below has one member more) when
+    ``prune(partial, used)``: the bound of :class:`_FrontEngine`.  With no
+    incumbent, ``prune`` never fires and every saturated front is seen.
     """
     disj = region.disj
     keep = region.keep
+    points = region.points
 
-    def walk(members: tuple[int, ...], breakers: int, allowed: int, start: int):
+    def walk(members: tuple[int, ...], breakers: int, allowed: int, start: int,
+             partial: int, used: int):
         counter.tick()
         if allowed == 0:
             if breakers == 0:
-                yield members
+                yield members, partial
+            return
+        if prune(partial, used):
             return
         ext = allowed >> start << start
         while ext:
             low = ext & -ext
             v = low.bit_length() - 1
-            yield from walk(members + (v,), breakers & keep[v], allowed & disj[v], v + 1)
+            yield from walk(members + (v,), breakers & keep[v], allowed & disj[v], v + 1,
+                            partial + gain[v], used + points[v])
             ext ^= low
 
-    yield from walk((), region.all_mask, region.all_mask, 0)
+    yield from walk((), region.all_mask, region.all_mask, 0, 0, 0)
 
 
 def front_is_saturated(front: Front, cubic: bool = False) -> bool:
@@ -214,8 +233,9 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     """
     check_brick_cap(region, cubic, FRONT_BRICK_CAP)
     table = _Region(region.dims, cubic)
-    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP))
-    return (Front(region, tuple(table.bricks[i] for i in members)) for members in fronts)
+    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.bricks),
+                                    lambda partial, used: False)
+    return (Front(region, tuple(table.bricks[i] for i in members)) for members, _ in fronts)
 
 
 class _FrontEngine:
@@ -227,6 +247,13 @@ class _FrontEngine:
     in a non-cube region, whose full brick is not a cube).  Memo entries are
     keyed by the side-length multiset: translation moves subproblems onto
     regions, and axis relabeling is a bijection on systems.
+
+    The front walk is an exact branch-and-bound in integers on ``partial``,
+    the members' value sum: max prunes when ``partial·den + num·(V − used)
+    <= best·den`` (disjoint closed bricks share none of the region's ``V``
+    lattice points), min when ``partial + vmin >= best``.  Only fronts that
+    cannot strictly beat the incumbent go, so the first optimal front in
+    generation order, the witness, is kept.
     """
 
     def __init__(self, mode: str, cubic: bool, counter: _Counter):
@@ -249,20 +276,33 @@ class _FrontEngine:
             self.counter.memo_hits += 1
             return hit[0]
         region = _Region(dims, self.cubic)
-        base = self.base(dims)
-        best_value = None
-        best_front = None
-        for members in _saturated_front_masks(region, self.counter):
-            total = base
-            for index in members:
-                total += self.value(region.bricks[index].sides())
-            if best_value is None or (total < best_value if self.minimizing else total > best_value):
-                best_value = total
+        values = {sides: self.value(sides) for sides in dict.fromkeys(region.sides)}
+        gain = [values[sides] for sides in region.sides]
+        best = best_front = None  # the best sum of member values so far
+        if self.minimizing:
+            least = min(gain, default=0)
+
+            def prune(partial: int, used: int) -> bool:
+                return best is not None and partial + least >= best
+        else:
+            num, den = 0, 1  # the largest gain per lattice point
+            for g, p in zip(gain, region.points):
+                if g * den > num * p:
+                    num, den = g, p
+            room = math.prod(m + 1 for m in dims)
+
+            def prune(partial: int, used: int) -> bool:
+                return best is not None and partial * den + num * (room - used) <= best * den
+
+        for members, partial in _saturated_front_masks(region, self.counter, gain, prune):
+            if best is None or (partial < best if self.minimizing else partial > best):
+                best = partial
                 best_front = tuple(region.bricks[i] for i in members)
-        if best_value is None:
+        if best is None:
             raise AssertionError(f"region {dims} has no saturated front")
-        self.memo[key] = (best_value, best_front, dims)
-        return best_value
+        value = self.base(dims) + best
+        self.memo[key] = (value, best_front, dims)
+        return value
 
     def witness_bricks(self, dims: tuple[int, ...]) -> list[Brick]:
         """Replay the stored optimal fronts into an explicit brick list.

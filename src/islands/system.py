@@ -10,6 +10,7 @@ greedy completion, and edge-gap profiling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -79,9 +80,15 @@ def max_elements(system: IslandSystem) -> list[Brick]:
     return [b for b in rest if not any(o != b and contains(o, b) for o in rest)]
 
 
+@functools.lru_cache(maxsize=64)
+def _universe_masks(shape: Shape, cubic: bool) -> IntervalMasks:
+    """The universe's masks, streamed from its corners; recent shapes are kept."""
+    return IntervalMasks(shape, brick_corners(shape, cubic))
+
+
 def _addable_mask(system: IslandSystem) -> tuple[IntervalMasks, int]:
-    """The universe's masks, streamed from its corners, and its addable bricks' mask."""
-    table = IntervalMasks(system.shape, brick_corners(system.shape, system.cubic))
+    """The universe's masks and its addable bricks' mask."""
+    table = _universe_masks(system.shape, system.cubic)
     addable = table.all
     for member in system.bricks:
         if not addable:
@@ -109,6 +116,7 @@ def is_maximal(system: IslandSystem) -> bool:
     :class:`~islands.geometry.IntervalMasks` into the non-members.  The masks
     take about ``2 d m n`` bits for ``n`` bricks and largest side ``m`` (under
     0.5 MB for ``5x5x5x5``, n = 50625); the universe itself is never held.
+    The masks of the 64 most recent ``(shape, cubic)`` pairs are kept.
     """
     return _addable_mask(system)[1] == 0
 

@@ -216,6 +216,26 @@ class TestCacheRows:
         assert all(row["status"] == "PASS" for row in rows)
         assert {"shape": "2,2", "actual": "3"}.items() <= rows[2].items()
 
+    def test_row_of_an_older_engine_version_is_recomputed(self, capsys, tmp_path):
+        # Engine "1" walked without bounds; its node counts would feed today's node cap.
+        assert ENGINE_VERSION != "1"
+        code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
+        assert code == 0
+        old = dict(json.loads(fresh), nodes=10 ** 9)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(dumps_canonical({
+            "shape": [2, 2], "cubic": False, "mode": "min", "engine": "front",
+            "engine_version": "1", "report": old,
+        }) + "\n")
+        code, out, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        assert json.loads(out)["nodes"] == json.loads(fresh)["nodes"]
+        rows = [json.loads(line) for line in cache.read_text().strip().splitlines()]
+        assert [row["engine_version"] for row in rows] == ["1", ENGINE_VERSION]
+        code, again, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert (code, again) == (0, out)
+        assert len(cache.read_text().strip().splitlines()) == 2
+
     def test_search_row_is_replayed_by_verify(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         code, _, _ = run(capsys, "search", "--shape", "2,2", "--mode", "min",

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 
 import pytest
 
@@ -14,6 +16,7 @@ from islands import (
     extremal_size,
     flat_extremal_size,
     is_maximal,
+    max_cube_system_bound,
     max_rect_system_size,
     min_brick_system_size,
 )
@@ -204,6 +207,52 @@ class TestExtremalSize:
         assert is_maximal(report.witness)
 
 
+@functools.lru_cache(maxsize=None)
+def unpruned_value(key, mode, cubic):
+    """The front recursion with no bound: the best over every saturated front."""
+    base = 1 if not cubic or len(set(key)) == 1 else 0
+    pick = min if mode == "min" else max
+    return pick(
+        base + sum(unpruned_value(tuple(sorted(m.sides())), mode, cubic) for m in front.members)
+        for front in enumerate_saturated_fronts(Shape(key), cubic=cubic)
+    )
+
+
+# Every axis order with d <= 3 and sides <= 3, and with d = 4 and sides <= 2;
+# plus 2-D boxes up to 6 with a side of at most 3, where a min bound that
+# prunes too much shows (cubic 1x6 and 3x6 min).
+PRUNING_SHAPES = [
+    dims
+    for d, top in [(1, 3), (2, 6), (3, 3), (4, 2)]
+    for dims in itertools.product(range(1, top + 1), repeat=d)
+    if min(dims) <= 3
+]
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    @pytest.mark.parametrize("cubic", [False, True])
+    def test_pruned_search_matches_the_unpruned_recursion(self, mode, cubic):
+        config = SearchConfig(mode=mode, cubic=cubic)
+        for dims in PRUNING_SHAPES:
+            if brick_count(Shape(dims), cubic) > 200:  # the front engine's default cap
+                continue
+            report = extremal_size(Shape(dims), config)
+            assert report.value == unpruned_value(tuple(sorted(dims)), mode, cubic), dims
+            assert report.witness.is_laminar, dims
+            assert is_maximal(report.witness), dims
+            assert len(report.witness) == report.value, dims
+
+    def test_cubic_7x7_max_reaches_the_theorem_3_bound(self):
+        # 7 + 1 is a power of two, so the bound 21 is attained.
+        report = extremal_size(Shape((7, 7)), SearchConfig(mode="max", cubic=True))
+        assert report.value == max_cube_system_bound(2, 7) == 21
+        assert report.witness.cubic
+        assert report.witness.is_laminar
+        assert is_maximal(report.witness)
+        assert len(report.witness) == 21
+
+
 class TestFlatSearch:
     @pytest.mark.parametrize(
         "dims,mode,cubic,expected",
@@ -299,10 +348,10 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, (14, 28754, 123)),
-        (extremal_size, (4, 3, 2), "max", False, (13, 12534, 81)),
-        (extremal_size, (2, 2, 2, 2), "min", False, (5, 121, 16)),
-        (extremal_size, (3, 3, 3), "max", True, (9, 2107, 782)),
+        (extremal_size, (5, 4), "max", False, (14, 11044, 88)),
+        (extremal_size, (4, 3, 2), "max", False, (13, 9449, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, (5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, (9, 109, 1)),
         (flat_extremal_size, (3, 3), "max", False, (7, 1083, 0)),
         (flat_extremal_size, (2, 2, 2), "min", False, (4, 263, 0)),
     ],
