@@ -198,6 +198,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.shape and args.suite not in ("classification", "corollaries"):
+        raise ValueError(f"--shape applies to classification and corollaries, not {args.suite}")
     cache_path = None if args.no_cache else resolve_cache_path(args.cache)
     searcher = sweeps.Searcher(engine=args.engine, cache_path=cache_path)
     if args.suite == "theorem1":

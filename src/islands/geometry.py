@@ -24,12 +24,12 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("a shape needs at least one dimension")
-        if any(m < 1 for m in dims):
-            raise ValueError(f"side lengths must be positive, got {dims}")
+        if any(type(m) is not int or m < 1 for m in dims):  # exactly int: no bool or float
+            raise ValueError(f"side lengths must be positive integers, got {dims}")
 
     @property
     def ndim(self) -> int:
@@ -62,15 +62,15 @@ class Brick:
     hi: tuple[int, ...]
 
     def __post_init__(self):
-        lo = tuple(int(a) for a in self.lo)
-        hi = tuple(int(b) for b in self.hi)
+        lo = tuple(self.lo)
+        hi = tuple(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if not lo or len(lo) != len(hi):
             raise ValueError(f"corner vectors must be nonempty and equal-length, got {lo}, {hi}")
         for a, b in zip(lo, hi):
-            if a < 0 or b <= a:
-                raise ValueError(f"need 0 <= lo_i < hi_i on every axis, got {lo}, {hi}")
+            if type(a) is not int or type(b) is not int or a < 0 or b <= a:
+                raise ValueError(f"need integers 0 <= lo_i < hi_i on every axis, got {lo}, {hi}")
 
     @property
     def ndim(self) -> int:
@@ -175,14 +175,14 @@ class IntervalMasks:
             ends_before = [0] + list(itertools.accumulate(hi_at, operator.or_))
             self.axes.append((starts_from, ends_before))
 
-    def relations(self, brick: Brick) -> tuple[int, int, int]:
-        """Masks of the listed bricks inside ``brick``, around it, and disjoint from it.
-
-        A listed brick equal to ``brick`` is both inside and around it.
+    def relations(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple[int, int, int]:
+        """Masks of the listed bricks inside the brick with corners ``(lo, hi)``,
+        around it, and disjoint from it; a listed brick with the same corners
+        is both.  The corners are taken as the constructor takes them, unchecked.
         """
         inside = self.all
         not_around = apart = 0
-        for (starts_from, ends_before), a, h in zip(self.axes, brick.lo, brick.hi):
+        for (starts_from, ends_before), a, h in zip(self.axes, lo, hi):
             inside &= starts_from[a] & ends_before[h + 1]
             not_around |= starts_from[a + 1] | ends_before[h]
             apart |= ends_before[a] | starts_from[h + 1]

@@ -11,15 +11,15 @@ Two engines compute the same quantities by deliberately different routes:
 
 * :func:`flat_extremal_size` never decomposes: it backtracks over the
   lexicographic brick list with include/exclude decisions, prunes branches
-  that cannot reach a maximal family, and verifies maximality of every leaf
-  by a full addability scan.
+  that cannot reach a maximal family, and carries the mask of bricks still
+  addable, which is empty exactly at a maximal leaf.
 
 The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
 each other on every shape small enough for the flat search.
 
-Both engines read their pairwise tables off
-:class:`~islands.geometry.IntervalMasks`; the scalar predicates stay the
+Both engines query :class:`~islands.geometry.IntervalMasks` by corners and
+build a Brick only for what they return; the scalar predicates stay the
 reference those masks are tested against, and still check fronts.
 """
 
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import CapExceeded
-from .geometry import (Brick, IntervalMasks, Shape, brick_count, contains, disjoint,
-                       enumerate_bricks, transform_brick)
+from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
+                       disjoint, enumerate_bricks)
 from .system import IslandSystem
 
 ENGINE_VERSION = "2"
@@ -127,36 +127,36 @@ def check_brick_cap(shape: Shape, cubic: bool, cap: int) -> None:
 
 
 class _Region:
-    """Candidate bricks of one region plus the pairwise masks the DFS needs.
+    """Candidate corner pairs ``(lo, hi)`` of one region, the full box left out,
+    plus the pairwise masks the DFS needs; no Brick is built.
 
     ``disj[j]`` holds, as a bitmask over candidate indices, the candidates
     disjoint from c_j; ``keep[j]`` the candidates i != j that contain c_j or
     are disjoint from it.  Candidate i breaks a front's saturation exactly
     when it is in ``keep`` of every member, so the AND of the members'
     ``keep`` rows is the set of candidates that could still sit on top of
-    the front.  Both rows are read off the
-    :class:`~islands.geometry.IntervalMasks` of the candidate list.
+    the front.  Both rows are read off the candidates' ``IntervalMasks``.
     ``sides[j]`` is c_j's own shape and ``points[j]`` its lattice points.
     """
 
-    __slots__ = ("bricks", "disj", "keep", "all_mask", "sides", "points")
+    __slots__ = ("corners", "disj", "keep", "all_mask", "sides", "points")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
-        full = shape.full_brick()
-        bricks = [b for b in enumerate_bricks(shape, cubic) if b != full]
-        table = IntervalMasks(shape, ((b.lo, b.hi) for b in bricks))
+        full = ((0,) * len(dims), shape.dims)
+        corners = [c for c in brick_corners(shape, cubic) if c != full]
+        table = IntervalMasks(shape, corners)
         disj = []
         keep = []
-        for j, brick in enumerate(bricks):
-            _, around, apart = table.relations(brick)
+        for j, (lo, hi) in enumerate(corners):
+            _, around, apart = table.relations(lo, hi)
             disj.append(apart)
             keep.append((around | apart) & ~(1 << j))
-        self.bricks = bricks
+        self.corners = corners
         self.disj = disj
         self.keep = keep
         self.all_mask = table.all
-        self.sides = [tuple(map(operator.sub, b.hi, b.lo)) for b in bricks]
+        self.sides = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]
         lattice = {sides: math.prod(s + 1 for s in sides) for sides in set(self.sides)}
         self.points = [lattice[sides] for sides in self.sides]
 
@@ -233,9 +233,10 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     """
     check_brick_cap(region, cubic, FRONT_BRICK_CAP)
     table = _Region(region.dims, cubic)
-    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.bricks),
+    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.corners),
                                     lambda partial, used: False)
-    return (Front(region, tuple(table.bricks[i] for i in members)) for members, _ in fronts)
+    return (Front(region, tuple(Brick(*table.corners[i]) for i in members))
+            for members, _ in fronts)
 
 
 class _FrontEngine:
@@ -260,8 +261,8 @@ class _FrontEngine:
         self.minimizing = mode == "min"
         self.cubic = cubic
         self.counter = counter
-        # key -> (value, best front bricks, dims the front was computed in)
-        self.memo: dict[tuple[int, ...], tuple[int, tuple[Brick, ...], tuple[int, ...]]] = {}
+        # key -> (value, best front's corner pairs, dims the front was computed in)
+        self.memo: dict[tuple[int, ...], tuple[int, tuple, tuple[int, ...]]] = {}
 
     def key(self, dims: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(dims, reverse=True))
@@ -297,31 +298,25 @@ class _FrontEngine:
         for members, partial in _saturated_front_masks(region, self.counter, gain, prune):
             if best is None or (partial < best if self.minimizing else partial > best):
                 best = partial
-                best_front = tuple(region.bricks[i] for i in members)
+                best_front = tuple(region.corners[i] for i in members)
         if best is None:
             raise AssertionError(f"region {dims} has no saturated front")
         value = self.base(dims) + best
         self.memo[key] = (value, best_front, dims)
         return value
 
-    def witness_bricks(self, dims: tuple[int, ...]) -> list[Brick]:
-        """Replay the stored optimal fronts into an explicit brick list.
-
-        A front memoized in a permutation of ``dims`` is mapped over with
-        ``transform_brick`` (no flips) along :func:`_axis_assignment`.
-        """
-        shape = Shape(dims)
+    def witness_corners(self, dims: tuple[int, ...], at: tuple[int, ...]) -> Iterator[tuple]:
+        """The witness's corner pairs, translated by ``at``; a front memoized in
+        a permutation of ``dims`` is permuted along :func:`_axis_assignment`."""
         _, front, entry_dims = self.memo[self.key(dims)]
         if entry_dims != dims:
             perm = _axis_assignment(entry_dims, dims)
-            front = tuple(transform_brick(b, shape, perm, (False,) * len(dims)) for b in front)
-        bricks: list[Brick] = []
+            front = [(tuple(lo[p] for p in perm), tuple(hi[p] for p in perm)) for lo, hi in front]
         if self.base(dims):
-            bricks.append(shape.full_brick())
-        for member in front:
-            for sub in self.witness_bricks(member.sides()):
-                bricks.append(sub.translate(member.lo))
-        return bricks
+            yield at, tuple(map(operator.add, at, dims))
+        for lo, hi in front:
+            yield from self.witness_corners(tuple(map(operator.sub, hi, lo)),
+                                            tuple(map(operator.add, at, lo)))
 
 
 def _axis_assignment(src_dims: tuple[int, ...], dst_dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -357,7 +352,8 @@ def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
         engine = _FrontEngine(config.mode, config.cubic, counter)
-        return engine.value(shape.dims), engine.witness_bricks(shape.dims)
+        value = engine.value(shape.dims)
+        return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
 
     return _run(shape, config, FRONT_BRICK_CAP, solve)
 
@@ -383,31 +379,24 @@ def _maximal_families(
 ) -> Iterator[tuple[Brick, ...]]:
     """Backtrack over the lexicographic brick list, yielding maximal families.
 
-    State is (chosen, candidates, excluded), all masks over the brick list.
-    Candidates stay compatible with everything chosen; excluded bricks are
-    ones deliberately skipped that are still compatible.  A branch dies as
-    soon as some excluded brick is compatible with every remaining candidate,
-    since no completion could shut it out.  At exhaustion, maximality is
-    confirmed by scanning the whole universe for an addable brick.
+    State is (chosen, candidates, excluded, addable), all masks over the brick
+    list.  Candidates stay compatible with everything chosen; excluded bricks
+    are ones deliberately skipped that are still compatible.  A branch dies as
+    soon as some excluded brick is compatible with every remaining candidate.
+    ``addable``, the AND of the chosen bricks' ``compat`` rows, holds the
+    bricks that could still join; a leaf is maximal iff it is empty.
     """
     bricks = list(enumerate_bricks(shape, cubic))
-    n = len(bricks)
     table = IntervalMasks(shape, ((b.lo, b.hi) for b in bricks))
     compat = []
     for i, brick in enumerate(bricks):
-        inside, around, apart = table.relations(brick)
+        inside, around, apart = table.relations(brick.lo, brick.hi)
         compat.append((inside | around | apart) & ~(1 << i))
 
-    def addable_nothing(rmask: int) -> bool:
-        for j in range(n):
-            if not (rmask >> j) & 1 and rmask & ~compat[j] == 0:
-                return False
-        return True
-
-    def walk(rmask: int, pmask: int, xmask: int):
+    def walk(rmask: int, pmask: int, xmask: int, addable: int):
         counter.tick()
         if pmask == 0:
-            if xmask == 0 and addable_nothing(rmask):
+            if xmask == 0 and addable == 0:
                 yield rmask
             return
         xm = xmask
@@ -418,10 +407,10 @@ def _maximal_families(
             xm ^= low
         low = pmask & -pmask
         v = low.bit_length() - 1
-        yield from walk(rmask | low, pmask & compat[v], xmask & compat[v])
-        yield from walk(rmask, pmask ^ low, xmask | low)
+        yield from walk(rmask | low, pmask & compat[v], xmask & compat[v], addable & compat[v])
+        yield from walk(rmask, pmask ^ low, xmask | low, addable)
 
-    for rmask in walk(0, (1 << n) - 1, 0):
+    for rmask in walk(0, table.all, 0, table.all):
         family = []
         rm = rmask
         while rm:

@@ -31,10 +31,16 @@ def system_to_dict(system: IslandSystem) -> dict:
     }
 
 
+def _typed(value: Any, kind: type) -> Any:
+    if type(value) is not kind:  # exactly: true is no integer, and "false" no boolean
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def system_from_dict(data: dict) -> IslandSystem:
     try:
         shape = Shape(tuple(data["shape"]))
-        cubic = bool(data["cubic"])
+        cubic = _typed(data["cubic"], bool)
         bricks = [Brick(tuple(lo), tuple(hi)) for lo, hi in data["bricks"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
@@ -56,15 +62,17 @@ def report_to_dict(report: ExtremalReport) -> dict:
 
 def report_from_dict(data: dict) -> ExtremalReport:
     try:
+        if data["mode"] not in ("min", "max"):
+            raise ValueError(f"mode must be 'min' or 'max', got {data['mode']!r}")
         return ExtremalReport(
             shape=Shape(tuple(data["shape"])),
-            cubic=bool(data["cubic"]),
+            cubic=_typed(data["cubic"], bool),
             mode=data["mode"],
-            value=int(data["value"]),
+            value=_typed(data["value"], int),
             witness=system_from_dict(data["witness"]),
-            nodes_explored=int(data["nodes"]),
-            memo_hits=int(data["memo_hits"]),
-            elapsed_ms=int(data["elapsed_ms"]),
+            nodes_explored=_typed(data["nodes"], int),
+            memo_hits=_typed(data["memo_hits"], int),
+            elapsed_ms=_typed(data["elapsed_ms"], int),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed report document: {exc}") from exc

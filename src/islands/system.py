@@ -93,7 +93,7 @@ def _addable_mask(system: IslandSystem) -> tuple[IntervalMasks, int]:
     for member in system.bricks:
         if not addable:
             break
-        inside, around, apart = table.relations(member)
+        inside, around, apart = table.relations(member.lo, member.hi)
         addable &= (inside | around | apart) & ~(inside & around)  # the member itself
     return table, addable
 
@@ -148,10 +148,10 @@ def greedy_complete(system: IslandSystem) -> IslandSystem:
     while addable:
         low = addable & -addable
         index = low.bit_length() - 1
-        brick = Brick(*next(itertools.islice(universe, index - position, None)))
+        lo, hi = next(itertools.islice(universe, index - position, None))
         position = index + 1
-        added.append(brick)
-        inside, around, apart = table.relations(brick)
+        added.append(Brick(lo, hi))
+        inside, around, apart = table.relations(lo, hi)
         addable &= (inside | around | apart) & ~low
     return IslandSystem(system.shape, system.bricks + tuple(added), cubic=system.cubic)
 

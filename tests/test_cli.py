@@ -106,6 +106,21 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("document", [
+        # the string "false" is truthy: read as a cubic system this one is maximal
+        '{"shape":[2,2],"cubic":"false","bricks":[[[0,0],[2,2]],[[0,0],[1,1]]]}',
+        '{"shape":[2.7,2],"cubic":false,"bricks":[[[0,0],[2,2]]]}',
+        '{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[2.9,2]]]}',
+        '{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[true,2]]]}',
+    ])
+    def test_wrongly_typed_fields_are_parse_errors(self, capsys, tmp_path, document):
+        path = tmp_path / "typed.json"
+        path.write_text(document)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed system document" in err
+
 
 class TestRoundTrip:
     def test_system_json_is_byte_stable(self, capsys):
@@ -122,6 +137,15 @@ class TestRoundTrip:
 
         line = out.strip()
         assert dumps_canonical(report_to_dict(report_from_dict(json.loads(line)))) == line
+
+    @pytest.mark.parametrize("mode", ["avg", "", None, ["min"]])
+    def test_report_mode_must_be_min_or_max(self, capsys, mode):
+        code, out, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
+        assert code == 0
+        from islands.serialize import report_from_dict
+
+        with pytest.raises(ValueError, match="malformed report document"):
+            report_from_dict(dict(json.loads(out), mode=mode))
 
 
 class TestSearch:
@@ -215,6 +239,22 @@ class TestCacheRows:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(row["status"] == "PASS" for row in rows)
         assert {"shape": "2,2", "actual": "3"}.items() <= rows[2].items()
+
+    @pytest.mark.parametrize("field,value", [
+        ("value", "3"), ("nodes", 12.0), ("memo_hits", True), ("cubic", 0),
+    ])
+    def test_row_with_a_wrongly_typed_field_is_recomputed(self, capsys, tmp_path, field, value):
+        code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
+        assert code == 0
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(dumps_canonical({
+            "shape": [2, 2], "cubic": False, "mode": "min", "engine": "front",
+            "engine_version": ENGINE_VERSION, "report": dict(json.loads(fresh), **{field: value}),
+        }) + "\n")
+        code, out, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
+        assert len(cache.read_text().strip().splitlines()) == 2
 
     def test_row_of_an_older_engine_version_is_recomputed(self, capsys, tmp_path):
         # Engine "1" walked without bounds; its node counts would feed today's node cap.
@@ -423,6 +463,14 @@ class TestVerify:
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("suite", ["theorem1", "theorem2", "theorem3", "prior-work"])
+    def test_shape_with_a_sweep_suite(self, capsys, suite):
+        # these suites sweep --max-dim/--max-side; a --shape would be silently ignored
+        code, out, err = run(capsys, "verify", suite, "--shape", "9,9", "--no-cache")
+        assert code == 2
+        assert out == ""
+        assert "--shape" in err
 
     def test_bad_shape_string(self, capsys):
         assert run(capsys, "search", "--shape", "2,x")[0] == 2

@@ -37,6 +37,11 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape(dims)
 
+    @pytest.mark.parametrize("dims", [(2.7,), (2, 2.0), ("2",), (True, 2)])
+    def test_non_integer_side_is_rejected(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            Shape(dims)
+
 
 class TestBrick:
     def test_valid(self):
@@ -52,6 +57,12 @@ class TestBrick:
     @pytest.mark.parametrize("lo,hi", [((0,), (0,)), ((1,), (0,)), ((-1,), (1,)), ((0, 0), (1,))])
     def test_invalid(self, lo, hi):
         with pytest.raises(ValueError):
+            Brick(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [((0,), (2.9,)), ((0.0,), (1,)), (("0",), (1,)),
+                                       ((0, 0), (True, 2))])
+    def test_non_integer_corner_is_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="integers"):
             Brick(lo, hi)
 
     def test_ordering_is_lexicographic_on_corners(self):
@@ -129,7 +140,7 @@ class TestIntervalMasks:
         table = IntervalMasks(shape, ((b.lo, b.hi) for b in candidates))
         assert table.all == (1 << len(candidates)) - 1
         for query in universe:
-            inside, around, apart = table.relations(query)
+            inside, around, apart = table.relations(query.lo, query.hi)
             for i, other in enumerate(candidates):
                 assert (inside >> i) & 1 == contains(query, other)
                 assert (around >> i) & 1 == contains(other, query)

@@ -11,6 +11,8 @@ from islands import (
     Shape,
     brick_count,
     canonical_form,
+    compatible,
+    enumerate_bricks,
     enumerate_maximal_systems,
     enumerate_saturated_fronts,
     extremal_size,
@@ -289,7 +291,40 @@ class TestOracleEquivalence:
         assert front.value == flat.value
 
 
+# Every canonical shape with d <= 3 and sides <= 6 whose universe has at most
+# 20 bricks, under each cubic flag.
+SMALL_UNIVERSES = [
+    (dims, cubic)
+    for d in (1, 2, 3)
+    for dims in itertools.combinations_with_replacement(range(6, 0, -1), d)
+    for cubic in (False, True)
+    if brick_count(Shape(dims), cubic) <= 20
+]
+
+
 class TestEnumerateMaximalSystems:
+    @pytest.mark.parametrize("dims,cubic", SMALL_UNIVERSES)
+    def test_every_maximal_family_is_enumerated(self, dims, cubic):
+        # Reference: grow laminar families brick by brick with the scalar
+        # predicate; keep those a scalar scan finds no addable brick for.
+        shape = Shape(dims)
+        universe = list(enumerate_bricks(shape, cubic))
+
+        def laminar_families(start, chosen):
+            yield chosen
+            for i in range(start, len(universe)):
+                if all(compatible(universe[i], member) for member in chosen):
+                    yield from laminar_families(i + 1, chosen + (universe[i],))
+
+        reference = {
+            family for family in laminar_families(0, ())
+            if not any(b not in family and all(compatible(b, m) for m in family)
+                       for b in universe)
+        }
+        systems = [s.bricks for s in enumerate_maximal_systems(shape, cubic)]
+        assert len(systems) == len(set(systems))
+        assert set(systems) == reference
+
     def test_single_cell(self):
         systems = list(enumerate_maximal_systems(Shape((1,))))
         assert len(systems) == 1
