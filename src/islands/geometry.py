@@ -188,6 +188,11 @@ class IntervalMasks:
             apart |= ends_before[a] | starts_from[h + 1]
         return inside, self.all & ~not_around, apart
 
+    def compatible(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
+        """Listed bricks nested with or disjoint from ``(lo, hi)``, but not one equal to it."""
+        inside, around, apart = self.relations(lo, hi)
+        return (inside | around | apart) & ~(inside & around)
+
 
 def brick_corners(
     shape: Shape, cubic: bool = False

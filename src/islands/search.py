@@ -9,10 +9,10 @@ Two engines compute the same quantities by deliberately different routes:
   optimum therefore decomposes over front members, and subproblems can be
   memoized by their side-length multiset.
 
-* :func:`flat_extremal_size` never decomposes: it backtracks over the
-  lexicographic brick list with include/exclude decisions, prunes branches
-  that cannot reach a maximal family, and carries the mask of bricks still
-  addable, which is empty exactly at a maximal leaf.
+* :func:`flat_extremal_size` never decomposes: it runs Bron–Kerbosch over
+  the lexicographic brick list with include/exclude decisions, and its prune
+  of branches that cannot reach a maximal family also decides maximality.
+  Families travel as masks; Bricks are built only for the family returned.
 
 The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
@@ -366,58 +366,51 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     addable forever.  Restricted to small brick universes by default.
     """
 
-    def solve(counter: _Counter) -> tuple[int, tuple[Brick, ...]]:
+    def solve(counter: _Counter) -> tuple[int, list[Brick]]:
+        corners = list(brick_corners(shape, config.cubic))
         pick = min if config.mode == "min" else max  # both keep the first extreme family
-        best = pick(_maximal_families(shape, config.cubic, counter), key=len)
-        return len(best), best
+        best = pick(_maximal_families(shape, corners, counter), key=int.bit_count)
+        return best.bit_count(), [Brick(lo, hi) for lo, hi in _members(best, corners)]
 
     return _run(shape, config, FLAT_BRICK_CAP, solve)
 
 
-def _maximal_families(
-    shape: Shape, cubic: bool, counter: _Counter
-) -> Iterator[tuple[Brick, ...]]:
-    """Backtrack over the lexicographic brick list, yielding maximal families.
+def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter) -> Iterator[int]:
+    """Bron–Kerbosch over the listed bricks, yielding each maximal family as a mask.
 
-    State is (chosen, candidates, excluded, addable), all masks over the brick
-    list.  Candidates stay compatible with everything chosen; excluded bricks
-    are ones deliberately skipped that are still compatible.  A branch dies as
-    soon as some excluded brick is compatible with every remaining candidate.
-    ``addable``, the AND of the chosen bricks' ``compat`` rows, holds the
-    bricks that could still join; a leaf is maximal iff it is empty.
+    The walk takes the bricks in list order with include/exclude decisions and
+    carries three masks: the chosen bricks R, the candidates P still compatible
+    with all of R, and the excluded bricks X, skipped earlier and still
+    compatible with all of R.  A branch dies as soon as some brick of X is
+    compatible with every candidate: no family below could ever exclude it.
+    With P empty that prune returns on any nonempty X, so a node that gets past
+    it with P = X = ∅ has nothing left to add, and R is maximal.
     """
-    bricks = list(enumerate_bricks(shape, cubic))
-    table = IntervalMasks(shape, ((b.lo, b.hi) for b in bricks))
-    compat = []
-    for i, brick in enumerate(bricks):
-        inside, around, apart = table.relations(brick.lo, brick.hi)
-        compat.append((inside | around | apart) & ~(1 << i))
+    table = IntervalMasks(shape, corners)
+    compat = [table.compatible(lo, hi) for lo, hi in corners]
 
-    def walk(rmask: int, pmask: int, xmask: int, addable: int):
+    def walk(rmask: int, pmask: int, xmask: int):
         counter.tick()
-        if pmask == 0:
-            if xmask == 0 and addable == 0:
-                yield rmask
-            return
         xm = xmask
         while xm:
             low = xm & -xm
             if pmask & ~compat[low.bit_length() - 1] == 0:
                 return
             xm ^= low
+        if pmask == 0:
+            yield rmask
+            return
         low = pmask & -pmask
         v = low.bit_length() - 1
-        yield from walk(rmask | low, pmask & compat[v], xmask & compat[v], addable & compat[v])
-        yield from walk(rmask, pmask ^ low, xmask | low, addable)
+        yield from walk(rmask | low, pmask & compat[v], xmask & compat[v])
+        yield from walk(rmask, pmask ^ low, xmask | low)
 
-    for rmask in walk(0, table.all, 0, table.all):
-        family = []
-        rm = rmask
-        while rm:
-            low = rm & -rm
-            family.append(bricks[low.bit_length() - 1])
-            rm ^= low
-        yield tuple(family)
+    return walk(0, table.all, 0)
+
+
+def _members(mask: int, items: list) -> list:
+    """The items whose bit is set in ``mask``, in list order."""
+    return [item for item, bit in zip(items, bin(mask)[:1:-1]) if bit == "1"]
 
 
 def enumerate_maximal_systems(
@@ -428,8 +421,11 @@ def enumerate_maximal_systems(
     Driven by the same flat backtracking as :func:`flat_extremal_size`, so
     it is independent of the front engine.  The brick cap is checked on the
     call, before the first system is asked for; symmetry classes are
-    :func:`~islands.system.canonical_form`'s job.
+    :func:`~islands.system.canonical_form`'s job.  Each brick of the universe
+    is built once and shared by the systems that hold it.
     """
     check_brick_cap(shape, cubic, cap)
-    families = _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP))
-    return (IslandSystem(shape, family, cubic=cubic) for family in families)
+    corners = list(brick_corners(shape, cubic))
+    bricks = [Brick(lo, hi) for lo, hi in corners]
+    families = _maximal_families(shape, corners, _Counter(DEFAULT_NODE_CAP))
+    return (IslandSystem(shape, _members(mask, bricks), cubic=cubic) for mask in families)

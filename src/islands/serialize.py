@@ -100,7 +100,10 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
 
     Lines that are not JSON objects are skipped.  The last key-matching row
     decides: it is a miss (``None``) when its report is missing or malformed,
-    or describes another shape, cubic flag or mode than the key.
+    when the report or its witness describes another shape or cubic flag than
+    the key, when the report has another mode, or when the witness does not
+    hold ``value`` bricks.  Whether the witness is laminar and maximal is not
+    checked here.
     """
     if not os.path.exists(path):
         return None
@@ -124,8 +127,14 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
         report = report_from_dict(found.get("report"))
     except ValueError:
         return None
-    fields = (list(report.shape.dims), report.cubic, report.mode)
-    return report if fields == (key["shape"], key["cubic"], key["mode"]) else None
+    witness = report.witness
+    checks = (
+        list(report.shape.dims) == list(witness.shape.dims) == key["shape"],
+        report.cubic == witness.cubic == key["cubic"],
+        report.mode == key["mode"],
+        len(witness) == report.value,
+    )
+    return report if all(checks) else None
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:

@@ -93,8 +93,7 @@ def _addable_mask(system: IslandSystem) -> tuple[IntervalMasks, int]:
     for member in system.bricks:
         if not addable:
             break
-        inside, around, apart = table.relations(member.lo, member.hi)
-        addable &= (inside | around | apart) & ~(inside & around)  # the member itself
+        addable &= table.compatible(member.lo, member.hi)
     return table, addable
 
 
@@ -151,8 +150,7 @@ def greedy_complete(system: IslandSystem) -> IslandSystem:
         lo, hi = next(itertools.islice(universe, index - position, None))
         position = index + 1
         added.append(Brick(lo, hi))
-        inside, around, apart = table.relations(lo, hi)
-        addable &= (inside | around | apart) & ~low
+        addable &= table.compatible(lo, hi)
     return IslandSystem(system.shape, system.bricks + tuple(added), cubic=system.cubic)
 
 

@@ -9,7 +9,7 @@ import pytest
 from islands.cli import build_parser, main
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
-from islands.verify import SKIPPED, Searcher, classification_rows
+from islands.verify import SKIPPED, Searcher, classification_rows, corollary_rows
 from islands import IslandSystem, Shape, nested_min_system
 
 from conftest import B
@@ -307,6 +307,42 @@ class TestCacheRows:
         assert len(cache.read_text().strip().splitlines()) == 7
 
 
+    def test_row_replaying_a_witness_of_another_shape_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        code, _, _ = run(capsys, "search", "--shape", "3,3", "--cache", str(cache))
+        assert code == 0
+        row = json.loads(cache.read_text())
+        row["shape"] = row["report"]["shape"] = [2, 2]
+        row["report"]["value"] = 3  # the witness is still the 5-brick 3x3 one
+        forged = tmp_path / "c2.jsonl"
+        forged.write_text(dumps_canonical(row) + "\n")
+        code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
+        code, out, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(forged))
+        assert code == 0
+        assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
+        assert len(forged.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("flags,edit", [
+        ((), lambda report: report["witness"].update(shape=[3, 3])),
+        (("--cubic",), lambda report: report["witness"].update(cubic=False)),
+        ((), lambda report: report.update(value=4)),
+    ], ids=["witness-shape", "witness-cubic", "value-is-not-the-witness-size"])
+    def test_row_whose_witness_disagrees_is_recomputed(self, capsys, tmp_path, flags, edit):
+        code, fresh, _ = run(capsys, "search", "--shape", "2,2", *flags, "--no-cache")
+        assert code == 0
+        report = json.loads(fresh)
+        edit(report)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(dumps_canonical({
+            "shape": [2, 2], "cubic": bool(flags), "mode": "min", "engine": "front",
+            "engine_version": ENGINE_VERSION, "report": report,
+        }) + "\n")
+        code, out, _ = run(capsys, "search", "--shape", "2,2", *flags, "--cache", str(cache))
+        assert code == 0
+        assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
+        assert len(cache.read_text().strip().splitlines()) == 2
+
+
 class TestCapsBeforeCache:
     """A cached row may change how fast a search returns, never its outcome."""
 
@@ -396,6 +432,12 @@ class TestVerify:
     def test_classification_checks_the_cap_before_generating(self):
         (row,) = classification_rows([Shape((9, 9))])
         assert row["status"] == SKIPPED
+
+    def test_onedim_rows_over_the_cap_are_skipped(self):
+        rows = corollary_rows([], cap=20)  # a segment of length 6 has 21 bricks
+        assert [(row["shape"], row["status"]) for row in rows] == (
+            [(str(m), "PASS") for m in range(1, 6)] + [("6", SKIPPED)])
+        assert (rows[-1]["expected"], rows[-1]["actual"]) == (0, "")
 
     def test_corollaries_on_small_shapes(self, capsys):
         code, out, _ = run(capsys, "verify", "corollaries", "--shape", "2,2",

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "islands").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "islands").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -31,3 +31,44 @@ def test_the_guard_sees_a_leftover_import():
                      "import os.path\nfrom .geometry import Brick, transform_brick\n"
                      "def f(b: Brick) -> None:\n    os.sep\n")
     assert unused_imports(tree) == ["transform_brick (line 3)"]
+
+
+def dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level functions, classes and assignments named ``_x`` (one leading
+    underscore) that no ``Name`` or ``Attribute`` in any of the modules reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            dead += [f"{module}: {name} (line {node.lineno})" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
+    assert dead_private_names(trees) == []
+
+
+def test_the_guard_sees_a_dead_private_name():
+    trees = {
+        "a.py": ast.parse("__all__ = []\n_used = 1\n_dead = 2\n"
+                          "def _helper():\n    return _used\n"),
+        "b.py": ast.parse("from .a import _helper\nclass _Gone:\n    pass\n"
+                          "x = _helper()\nx._dead = 3\n"),
+    }
+    assert dead_private_names(trees) == ["a.py: _dead (line 3)", "b.py: _Gone (line 2)"]

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -421,6 +422,30 @@ def test_witness_bricks_are_pinned(dims, mode, bricks):
     )
     assert found == bricks
     assert report.value == len(bricks.split())
+
+
+def brick_digits(bricks):
+    return " ".join("".join(map(str, b.lo)) + "-" + "".join(map(str, b.hi)) for b in bricks)
+
+
+# The flat engine keeps the first extreme family in its walk order; so do these pins.
+@pytest.mark.parametrize("dims,mode,bricks", [
+    ((3, 3), "max", "00-11 00-12 00-13 00-33 20-31 20-32 20-33"),
+    ((2, 2, 2), "min", "000-111 000-112 000-122 000-222"),
+    ((3, 2), "max", "00-11 00-12 00-32 20-31 20-32"),
+], ids=["3,3-max", "2,2,2-min", "3,2-max"])
+def test_flat_witness_bricks_are_pinned(dims, mode, bricks):
+    report = flat_extremal_size(Shape(dims), SearchConfig(mode=mode))
+    assert brick_digits(report.witness.bricks) == bricks
+    assert report.value == len(bricks.split())
+
+
+def test_maximal_system_order_is_pinned():
+    systems = [brick_digits(s.bricks) for s in enumerate_maximal_systems(Shape((3, 2)))]
+    assert len(systems) == 30
+    assert systems[:2] == ["00-11 00-12 00-22 00-32", "00-11 00-12 00-32 20-31 20-32"]
+    digest = hashlib.sha256("\n".join(systems).encode()).hexdigest()
+    assert digest == "f68c8d2b74ac399528006b5690fb55d6bf10439a203d0281af13cc6e22ace950"
 
 
 def test_report_is_a_frozen_record():
