@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_CAP
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -163,7 +163,11 @@ def cmd_check(args) -> int:
     else:
         with open(args.path, "r", encoding="utf-8") as handle:
             raw = handle.read()
-    system = system_from_dict(json.loads(raw))
+    try:
+        data = json.loads(raw)
+    except RecursionError:  # outside input, not an engine fault: a parse error
+        raise ValueError("malformed system document: nested too deeply") from None
+    system = system_from_dict(data)
     laminar = system.is_laminar
     summary = {
         "laminar": laminar,

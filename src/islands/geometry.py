@@ -194,6 +194,12 @@ class IntervalMasks:
         return (inside | around | apart) & ~(inside & around)
 
 
+def mask_members(mask: int, items: Iterable) -> list:
+    """The items whose bit is set in ``mask``, in list order: the one decoder
+    that turns the engines' and :class:`IntervalMasks`' masks back into items."""
+    return [item for item, bit in zip(items, bin(mask)[:1:-1]) if bit == "1"]
+
+
 def brick_corners(
     shape: Shape, cubic: bool = False
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -18,9 +18,11 @@ The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
 each other on every shape small enough for the flat search.
 
-Both engines query :class:`~islands.geometry.IntervalMasks` by corners and
-build a Brick only for what they return; the scalar predicates stay the
-reference those masks are tested against, and still check fronts.
+Both engines carry families as masks, query
+:class:`~islands.geometry.IntervalMasks` by corners, and decode with
+:func:`~islands.geometry.mask_members` and build Bricks only for what they
+return; the scalar predicates stay the reference those masks are tested
+against, and still check fronts.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Iterator
 
 from .errors import CapExceeded
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
-                       disjoint, enumerate_bricks)
+                       disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem
 
 ENGINE_VERSION = "2"
@@ -163,12 +165,13 @@ class _Region:
 
 def _saturated_front_masks(
     region: _Region, counter: _Counter, gain: list[int], prune: Callable[[int, int], bool]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Index tuples of the region's saturated fronts, in lexicographic order,
-    each with ``partial``, the sum of its members' ``gain``.
+) -> Iterator[tuple[int, int]]:
+    """The region's saturated fronts as masks over its candidates, in
+    lexicographic order, each with ``partial``, the sum of its members' ``gain``.
 
     Fronts are grown by appending candidates in increasing index order, so
-    each disjoint family is visited once.  Only families that no candidate
+    each disjoint family is visited once, and a front's next member lies past
+    its highest bit, ``members.bit_length()``.  Only families that no candidate
     is disjoint from (``allowed == 0``) can be saturated.  The walk carries
     ``breakers``, the AND of the members' ``keep`` rows: the candidates that
     contain or avoid every member.  Such a family is saturated iff that
@@ -183,8 +186,7 @@ def _saturated_front_masks(
     keep = region.keep
     points = region.points
 
-    def walk(members: tuple[int, ...], breakers: int, allowed: int, start: int,
-             partial: int, used: int):
+    def walk(members: int, breakers: int, allowed: int, partial: int, used: int):
         counter.tick()
         if allowed == 0:
             if breakers == 0:
@@ -192,15 +194,16 @@ def _saturated_front_masks(
             return
         if prune(partial, used):
             return
+        start = members.bit_length()  # one past the last member appended
         ext = allowed >> start << start
         while ext:
             low = ext & -ext
             v = low.bit_length() - 1
-            yield from walk(members + (v,), breakers & keep[v], allowed & disj[v], v + 1,
+            yield from walk(members | low, breakers & keep[v], allowed & disj[v],
                             partial + gain[v], used + points[v])
             ext ^= low
 
-    yield from walk((), region.all_mask, region.all_mask, 0, 0, 0)
+    yield from walk(0, region.all_mask, region.all_mask, 0, 0)
 
 
 def front_is_saturated(front: Front, cubic: bool = False) -> bool:
@@ -233,10 +236,10 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     """
     check_brick_cap(region, cubic, FRONT_BRICK_CAP)
     table = _Region(region.dims, cubic)
+    bricks = [Brick(lo, hi) for lo, hi in table.corners]
     fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.corners),
                                     lambda partial, used: False)
-    return (Front(region, tuple(Brick(*table.corners[i]) for i in members))
-            for members, _ in fronts)
+    return (Front(region, tuple(mask_members(members, bricks))) for members, _ in fronts)
 
 
 class _FrontEngine:
@@ -254,7 +257,8 @@ class _FrontEngine:
     <= best·den`` (disjoint closed bricks share none of the region's ``V``
     lattice points), min when ``partial + vmin >= best``.  Only fronts that
     cannot strictly beat the incumbent go, so the first optimal front in
-    generation order, the witness, is kept.
+    generation order, the witness, is kept.  The walk yields fronts as masks;
+    only the winning one is decoded, once per region, into the memo's corners.
     """
 
     def __init__(self, mode: str, cubic: bool, counter: _Counter):
@@ -262,7 +266,7 @@ class _FrontEngine:
         self.cubic = cubic
         self.counter = counter
         # key -> (value, best front's corner pairs, dims the front was computed in)
-        self.memo: dict[tuple[int, ...], tuple[int, tuple, tuple[int, ...]]] = {}
+        self.memo: dict[tuple[int, ...], tuple[int, list, tuple[int, ...]]] = {}
 
     def key(self, dims: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(dims, reverse=True))
@@ -279,7 +283,7 @@ class _FrontEngine:
         region = _Region(dims, self.cubic)
         values = {sides: self.value(sides) for sides in dict.fromkeys(region.sides)}
         gain = [values[sides] for sides in region.sides]
-        best = best_front = None  # the best sum of member values so far
+        best = best_mask = None  # the best sum of member values so far, and its front
         if self.minimizing:
             least = min(gain, default=0)
 
@@ -297,12 +301,11 @@ class _FrontEngine:
 
         for members, partial in _saturated_front_masks(region, self.counter, gain, prune):
             if best is None or (partial < best if self.minimizing else partial > best):
-                best = partial
-                best_front = tuple(region.corners[i] for i in members)
+                best, best_mask = partial, members
         if best is None:
             raise AssertionError(f"region {dims} has no saturated front")
         value = self.base(dims) + best
-        self.memo[key] = (value, best_front, dims)
+        self.memo[key] = (value, mask_members(best_mask, region.corners), dims)
         return value
 
     def witness_corners(self, dims: tuple[int, ...], at: tuple[int, ...]) -> Iterator[tuple]:
@@ -370,7 +373,7 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
         corners = list(brick_corners(shape, config.cubic))
         pick = min if config.mode == "min" else max  # both keep the first extreme family
         best = pick(_maximal_families(shape, corners, counter), key=int.bit_count)
-        return best.bit_count(), [Brick(lo, hi) for lo, hi in _members(best, corners)]
+        return best.bit_count(), [Brick(lo, hi) for lo, hi in mask_members(best, corners)]
 
     return _run(shape, config, FLAT_BRICK_CAP, solve)
 
@@ -408,11 +411,6 @@ def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter) -> 
     return walk(0, table.all, 0)
 
 
-def _members(mask: int, items: list) -> list:
-    """The items whose bit is set in ``mask``, in list order."""
-    return [item for item, bit in zip(items, bin(mask)[:1:-1]) if bit == "1"]
-
-
 def enumerate_maximal_systems(
     shape: Shape, cubic: bool = False, cap: int = FLAT_BRICK_CAP
 ) -> Iterator[IslandSystem]:
@@ -428,4 +426,4 @@ def enumerate_maximal_systems(
     corners = list(brick_corners(shape, cubic))
     bricks = [Brick(lo, hi) for lo, hi in corners]
     families = _maximal_families(shape, corners, _Counter(DEFAULT_NODE_CAP))
-    return (IslandSystem(shape, _members(mask, bricks), cubic=cubic) for mask in families)
+    return (IslandSystem(shape, mask_members(mask, bricks), cubic=cubic) for mask in families)

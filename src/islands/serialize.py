@@ -98,24 +98,22 @@ def cache_key(shape: Shape, cubic: bool, mode: str, engine: str, engine_version:
 def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
     """The report of the last row whose key fields all match, if it checks out.
 
-    Lines that are not JSON objects are skipped.  The last key-matching row
-    decides: it is a miss (``None``) when its report is missing or malformed,
-    when the report or its witness describes another shape or cubic flag than
-    the key, when the report has another mode, or when the witness does not
-    hold ``value`` bricks.  Whether the witness is laminar and maximal is not
-    checked here.
+    Lines that are not JSON objects are skipped, among them blank lines, lines
+    that do not decode and JSON nested past the decoder's recursion limit.
+    The last key-matching row decides: it is a miss (``None``) when its report
+    is missing or malformed, when the report or its witness describes another
+    shape or cubic flag than the key, when the report has another mode, or
+    when the witness does not hold ``value`` bricks.  Whether the witness is
+    laminar and maximal is not checked here.
     """
     if not os.path.exists(path):
         return None
     found = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
+                row = json.loads(line.decode())  # not UTF-8: UnicodeDecodeError
+            except (ValueError, RecursionError):
                 continue  # a torn write must not poison the whole cache
             if not isinstance(row, dict):
                 continue

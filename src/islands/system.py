@@ -17,6 +17,7 @@ from typing import Iterable
 
 from .geometry import (
     Brick, IntervalMasks, Shape, brick_corners, canonical_bricks, compatible, contains,
+    mask_members,
 )
 
 
@@ -103,9 +104,8 @@ def addable_bricks(system: IslandSystem) -> list[Brick]:
     Cubic systems only admit cubes.  An empty result is exactly maximality.
     """
     _, addable = _addable_mask(system)
-    flags = bin(addable)[:1:-1]  # flags[i] == "1" iff brick i is addable
     universe = brick_corners(system.shape, system.cubic)
-    return [Brick(lo, hi) for (lo, hi), flag in zip(universe, flags) if flag == "1"]
+    return [Brick(lo, hi) for lo, hi in mask_members(addable, universe)]
 
 
 def is_maximal(system: IslandSystem) -> bool:

@@ -8,6 +8,7 @@ integer comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -191,30 +192,22 @@ def corollary_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
     a member.  onedim: every maximal system of a segment of length m has
     exactly m members (checked for m up to ``ONEDIM_MAX``).
     """
+    cases = [(shape, ("corners", "gaps", "restrict"),
+              functools.partial(_structure_violations, _corner_cells(shape)))
+             for shape in shapes]
+    cases += [(Shape((m,)), ("onedim",), lambda system: (len(system) != system.shape.dims[0],))
+              for m in range(1, ONEDIM_MAX + 1)]
     rows = []
-    for shape in shapes:
-        corner_bad = gap_bad = restrict_bad = 0
+    for shape, props, violations in cases:
+        counts = [0] * len(props)
         try:
             for system in enumerate_maximal_systems(shape, cap=cap):
-                corner_bad += _corner_violations(system)
-                gap_bad += _gap_violations(system)
-                restrict_bad += _restriction_violations(system)
+                counts = [a + b for a, b in zip(counts, violations(system))]
         except CapExceeded:
-            for prop in ("corners", "gaps", "restrict"):
-                rows.append(_row(shape, False, prop, 0, "", SKIPPED))
+            rows += [_row(shape, False, prop, 0, "", SKIPPED) for prop in props]
             continue
-        for prop, bad in (("corners", corner_bad), ("gaps", gap_bad), ("restrict", restrict_bad)):
-            rows.append(_row(shape, False, prop, 0, bad, PASS if bad == 0 else FAIL))
-    for m in range(1, ONEDIM_MAX + 1):
-        shape = Shape((m,))
-        try:
-            bad = sum(
-                1 for system in enumerate_maximal_systems(shape, cap=cap) if len(system) != m
-            )
-        except CapExceeded:
-            rows.append(_row(shape, False, "onedim", 0, "", SKIPPED))
-            continue
-        rows.append(_row(shape, False, "onedim", 0, bad, PASS if bad == 0 else FAIL))
+        rows += [_row(shape, False, prop, 0, bad, PASS if bad == 0 else FAIL)
+                 for prop, bad in zip(props, counts)]
     return rows
 
 
@@ -226,37 +219,18 @@ def _corner_cells(shape: Shape) -> list[Brick]:
     return cells
 
 
-def _corner_violations(system: IslandSystem) -> int:
+def _structure_violations(cells: list[Brick], system: IslandSystem) -> tuple[int, int, int]:
+    """The system's corner, gap and restriction violations; ``cells`` are its
+    shape's corner cells."""
     members = max_elements(system)
-    if len(members) <= 1:
-        return 0
-    return sum(
-        1
-        for cell in _corner_cells(system.shape)
-        if not any(contains(member, cell) for member in members)
-    )
-
-
-def _gap_violations(system: IslandSystem) -> int:
-    if len(max_elements(system)) <= 1:
-        return 0
-    bad = 0
-    for profile in gap_profiles(system):
-        for gap in profile.gaps:
-            if gap.length > 2:
-                bad += 1
-            elif gap.left_elementary is None or gap.right_elementary is None:
-                bad += 1  # a corner gap means an unoccupied corner cell
-            elif gap.length == 2 and gap.left_elementary and gap.right_elementary:
-                bad += 1
-    return bad
-
-
-def _restriction_violations(system: IslandSystem) -> int:
-    bad = 0
-    if system.shape.full_brick() not in system.bricks:
-        bad += 1
-    for member in system.bricks:
-        if not is_maximal(restrict(system, member)):
-            bad += 1
-    return bad
+    corners = gaps = 0
+    if len(members) > 1:
+        corners = sum(not any(contains(member, cell) for member in members) for cell in cells)
+        for profile in gap_profiles(system):
+            for gap in profile.gaps:
+                flanks = (gap.left_elementary, gap.right_elementary)
+                # a corner gap (a None flank) means an unoccupied corner cell
+                gaps += gap.length > 2 or None in flanks or gap.length == 2 and all(flanks)
+    restricts = sum(not is_maximal(restrict(system, member)) for member in system.bricks)
+    restricts += system.shape.full_brick() not in system.bricks
+    return corners, gaps, restricts

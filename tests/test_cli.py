@@ -10,7 +10,7 @@ from islands.cli import build_parser, main
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
 from islands.verify import SKIPPED, Searcher, classification_rows, corollary_rows
-from islands import IslandSystem, Shape, nested_min_system
+from islands import CapExceeded, IslandSystem, Shape, nested_min_system
 
 from conftest import B
 
@@ -105,6 +105,14 @@ class TestCheck:
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(UNREADABLE_CACHE_LINES["nested-too-deep"])
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed system document")
 
     @pytest.mark.parametrize("document", [
         # the string "false" is truthy: read as a cubic system this one is maximal
@@ -214,8 +222,36 @@ BAD_CACHE_LINES = {
                                   "engine": "front", "engine_version": ENGINE_VERSION}),
 }
 
+# lines json.loads cannot decode at all: undecodable bytes, and nesting past
+# the decoder's recursion limit
+UNREADABLE_CACHE_LINES = {
+    "not-utf-8": b'\xff\xfe{"torn\n',
+    "nested-too-deep": b"[" * 100000 + b"\n",
+}
+
 
 class TestCacheRows:
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_CACHE_LINES))
+    def test_search_replays_past_an_unreadable_line(self, capsys, tmp_path, kind):
+        cache = tmp_path / "cache.jsonl"
+        code, first, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        with cache.open("ab") as handle:
+            handle.write(UNREADABLE_CACHE_LINES[kind])
+        code, second, err = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert (code, second, err) == (0, first, "")
+        assert cache.read_bytes().count(b"\n") == 2  # replayed, nothing appended
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_CACHE_LINES))
+    def test_verify_reads_past_an_unreadable_line(self, capsys, tmp_path, kind):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(UNREADABLE_CACHE_LINES[kind])
+        code, out, _ = run(capsys, "verify", "theorem1", "--max-dim", "1",
+                           "--max-side", "2", "--cache", str(cache))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["shape"], row["status"]) for row in rows] == [("2", "PASS"), ("1", "PASS")]
+
     @pytest.mark.parametrize("kind", sorted(BAD_CACHE_LINES))
     def test_search_recomputes_past_a_bad_row(self, capsys, tmp_path, kind):
         cache = tmp_path / "cache.jsonl"
@@ -438,6 +474,39 @@ class TestVerify:
         assert [(row["shape"], row["status"]) for row in rows] == (
             [(str(m), "PASS") for m in range(1, 6)] + [("6", SKIPPED)])
         assert (rows[-1]["expected"], rows[-1]["actual"]) == (0, "")
+
+    def test_corollary_violations_are_counted(self, monkeypatch):
+        # crafted systems, not maximal ones: every real maximal system passes
+        box = IslandSystem(Shape((3, 3)), [B((0, 0), (3, 3)), B((0, 0), (1, 1)),
+                                           B((2, 2), (3, 3))])
+        # no full brick, [6,8] restricts to a non-maximal system; gaps [1,3]
+        # (between two cells) and [11,14] (length 3) break the rule, [4,6]
+        # and [8,10] (next to a longer run) do not
+        line = IslandSystem(Shape((15,)), [B((a,), (b,)) for a, b in
+                                           [(0, 1), (3, 4), (6, 8), (10, 11), (14, 15)]])
+        segment = IslandSystem(Shape((3,)), [B((0,), (3,))])
+
+        def systems(shape, cap):
+            if shape == Shape((2, 2)):
+                raise CapExceeded("stub cap")
+            return iter([s for s in (box, line, segment) if s.shape == shape])
+
+        monkeypatch.setattr("islands.verify.enumerate_maximal_systems", systems)
+        rows = corollary_rows([Shape((3, 3)), Shape((15,)), Shape((2, 2))])
+        assert [(r["shape"], r["mode"], r["expected"], r["actual"], r["status"])
+                for r in rows] == [
+            ("3,3", "corners", 0, 2, "FAIL"),
+            ("3,3", "gaps", 0, 4, "FAIL"),
+            ("3,3", "restrict", 0, 1, "FAIL"),
+            ("15", "corners", 0, 0, "PASS"),
+            ("15", "gaps", 0, 2, "FAIL"),
+            ("15", "restrict", 0, 2, "FAIL"),
+            ("2,2", "corners", 0, "", SKIPPED),
+            ("2,2", "gaps", 0, "", SKIPPED),
+            ("2,2", "restrict", 0, "", SKIPPED),
+        ] + [(str(m), "onedim", 0, int(m == 3), "FAIL" if m == 3 else "PASS")
+             for m in range(1, 7)]
+        assert all(row["cubic"] is False for row in rows)
 
     def test_corollaries_on_small_shapes(self, capsys):
         code, out, _ = run(capsys, "verify", "corollaries", "--shape", "2,2",

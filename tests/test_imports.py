@@ -5,6 +5,24 @@ import pytest
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "islands").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+OLDEST_PYTHON = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
+
+
+@pytest.mark.parametrize("path", PACKAGE + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_grammar_of_the_oldest_supported_python(path):
+    """Every file parses under the 3.10 grammar, whatever Python runs the suite.
+
+    This checks syntax only (``except*``, PEP 695 ``type`` statements and the
+    like); a stdlib API newer than 3.10 still passes.
+    """
+    ast.parse(path.read_text(), str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_the_grammar_guard_rejects_except_star():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=OLDEST_PYTHON)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

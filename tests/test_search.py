@@ -82,8 +82,10 @@ class TestSaturatedFronts:
                 for b in members[i + 1 :]:
                     assert disjoint(a, b)
 
-    def test_generated_in_lexicographic_order(self):
-        fronts = [f.members for f in enumerate_saturated_fronts(Shape((3, 3)))]
+    @pytest.mark.parametrize("dims,cubic", [((3, 3), False), ((3, 2, 2), False), ((4, 4), True)],
+                             ids=["3,3", "3,2,2", "4,4-cubic"])
+    def test_generated_in_lexicographic_order(self, dims, cubic):
+        fronts = [f.members for f in enumerate_saturated_fronts(Shape(dims), cubic)]
         assert fronts == sorted(fronts)
 
     def test_front_type_rejects_bad_members(self):
