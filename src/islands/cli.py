@@ -20,7 +20,7 @@ from .constructors import (
 )
 from .errors import CapExceeded
 from .geometry import Shape
-from .search import DEFAULT_NODE_CAP, ENGINES
+from .search import DEFAULT_NODE_CAP, ENGINES, check_brick_cap
 from .serialize import (
     dumps_canonical,
     report_to_dict,
@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+# Largest universe `check` builds masks for: 12x12x12 (474,552 bricks) takes ~1 s.
+CHECK_BRICK_CAP = 500_000
 
 
 def _parse_shape(text: str) -> Shape:
@@ -177,6 +179,7 @@ def cmd_check(args) -> int:
         "gap_summary": None,
     }
     if laminar:
+        check_brick_cap(system.shape, system.cubic, CHECK_BRICK_CAP)
         profiles = gap_profiles(system)
         gaps = [gap for profile in profiles for gap in profile.gaps]
         summary["maximal"] = is_maximal(system)

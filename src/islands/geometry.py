@@ -10,6 +10,7 @@ they are never disjoint.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -228,17 +229,8 @@ def enumerate_bricks(shape: Shape, cubic: bool = False) -> Iterator[Brick]:
 def brick_count(shape: Shape, cubic: bool = False) -> int:
     """Closed-form count of the bricks :func:`enumerate_bricks` yields."""
     if cubic:
-        total = 0
-        for s in range(1, min(shape.dims) + 1):
-            positions = 1
-            for m in shape.dims:
-                positions *= m - s + 1
-            total += positions
-        return total
-    count = 1
-    for m in shape.dims:
-        count *= m * (m + 1) // 2
-    return count
+        return sum(math.prod(m - s + 1 for m in shape.dims) for s in range(1, min(shape.dims) + 1))
+    return math.prod(m * (m + 1) // 2 for m in shape.dims)
 
 
 def shape_symmetries(shape: Shape) -> Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]:
@@ -280,10 +272,6 @@ def canonical_bricks(shape: Shape, bricks: Iterable[Brick]) -> tuple[Brick, ...]
     set in one symmetry orbit, which makes it usable as an isomorph-rejection
     key.
     """
-    base = tuple(sorted(set(bricks)))
-    best = base
-    for perm, flips in shape_symmetries(shape):
-        image = tuple(sorted({transform_brick(b, shape, perm, flips) for b in base}))
-        if image < best:
-            best = image
-    return best
+    base = set(bricks)
+    return min(tuple(sorted({transform_brick(b, shape, perm, flips) for b in base}))
+               for perm, flips in shape_symmetries(shape))  # the identity's image: base

@@ -12,7 +12,7 @@ Two engines compute the same quantities by deliberately different routes:
 * :func:`flat_extremal_size` never decomposes: it runs Bron–Kerbosch over
   the lexicographic brick list with include/exclude decisions, and its prune
   of branches that cannot reach a maximal family also decides maximality.
-  Families travel as masks; Bricks are built only for the family returned.
+  A size bound drops branches that cannot beat the best family found so far.
 
 The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
@@ -38,7 +38,7 @@ from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, 
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem
 
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 FRONT_BRICK_CAP = 200
 FLAT_BRICK_CAP = 40
@@ -115,11 +115,8 @@ class _Counter:
     def tick(self):
         self.nodes += 1
         if self.nodes > self.cap:
-            raise CapExceeded(
-                f"node cap {self.cap} exceeded",
-                nodes_explored=self.nodes,
-                memo_hits=self.memo_hits,
-            )
+            raise CapExceeded(f"node cap {self.cap} exceeded",
+                              nodes_explored=self.nodes, memo_hits=self.memo_hits)
 
 
 def check_brick_cap(shape: Shape, cubic: bool, cap: int) -> None:
@@ -148,15 +145,10 @@ class _Region:
         full = ((0,) * len(dims), shape.dims)
         corners = [c for c in brick_corners(shape, cubic) if c != full]
         table = IntervalMasks(shape, corners)
-        disj = []
-        keep = []
-        for j, (lo, hi) in enumerate(corners):
-            _, around, apart = table.relations(lo, hi)
-            disj.append(apart)
-            keep.append((around | apart) & ~(1 << j))
+        rows = [table.relations(lo, hi) for lo, hi in corners]
         self.corners = corners
-        self.disj = disj
-        self.keep = keep
+        self.disj = [apart for _, _, apart in rows]
+        self.keep = [(around | apart) & ~(1 << j) for j, (_, around, apart) in enumerate(rows)]
         self.all_mask = table.all
         self.sides = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]
         lattice = {sides: math.prod(s + 1 for s in sides) for sides in set(self.sides)}
@@ -362,23 +354,35 @@ def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
 
 
 def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
-    """Reference search: enumerate every maximal system, take the extreme.
+    """Reference search: the extreme maximal system, by bounded Bron–Kerbosch.
 
-    Shares no decomposition machinery with :func:`extremal_size`; its only
-    cleverness is pruning branches in which some excluded brick would stay
-    addable forever.  Restricted to small brick universes by default.
+    Shares no decomposition machinery with :func:`extremal_size`.  Below a
+    node with candidates P, every maximal family keeps the chosen R and takes
+    between one and all of P: max prunes on ``|R| + |P| <= best``, min on
+    ``|R| + 1 >= best``.  Only branches that cannot strictly beat the incumbent
+    go, so the first extreme family in walk order, the witness, is kept.
+    Restricted to small brick universes by default.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
         corners = list(brick_corners(shape, config.cubic))
-        pick = min if config.mode == "min" else max  # both keep the first extreme family
-        best = pick(_maximal_families(shape, corners, counter), key=int.bit_count)
-        return best.bit_count(), [Brick(lo, hi) for lo, hi in mask_members(best, corners)]
+        maximizing = config.mode == "max"
+        best, best_mask = (0 if maximizing else len(corners) + 1), 0  # beaten by any family
+
+        def prune(size: int, room: int) -> bool:
+            return size + room <= best if maximizing else size + 1 >= best
+
+        for mask in _maximal_families(shape, corners, counter, prune):
+            size = mask.bit_count()
+            if size > best if maximizing else size < best:
+                best, best_mask = size, mask
+        return best, [Brick(lo, hi) for lo, hi in mask_members(best_mask, corners)]
 
     return _run(shape, config, FLAT_BRICK_CAP, solve)
 
 
-def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter) -> Iterator[int]:
+def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter,
+                      prune: Callable[[int, int], bool]) -> Iterator[int]:
     """Bron–Kerbosch over the listed bricks, yielding each maximal family as a mask.
 
     The walk takes the bricks in list order with include/exclude decisions and
@@ -387,7 +391,9 @@ def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter) -> 
     compatible with all of R.  A branch dies as soon as some brick of X is
     compatible with every candidate: no family below could ever exclude it.
     With P empty that prune returns on any nonempty X, so a node that gets past
-    it with P = X = ∅ has nothing left to add, and R is maximal.
+    it with P = X = ∅ has nothing left to add, and R is maximal.  A node with
+    P ≠ ∅ also dies when ``prune(|R|, |P|)``; a hook that never fires lists
+    every maximal family, in the order of their sorted members.
     """
     table = IntervalMasks(shape, corners)
     compat = [table.compatible(lo, hi) for lo, hi in corners]
@@ -402,6 +408,8 @@ def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter) -> 
             xm ^= low
         if pmask == 0:
             yield rmask
+            return
+        if prune(rmask.bit_count(), pmask.bit_count()):
             return
         low = pmask & -pmask
         v = low.bit_length() - 1
@@ -425,5 +433,6 @@ def enumerate_maximal_systems(
     check_brick_cap(shape, cubic, cap)
     corners = list(brick_corners(shape, cubic))
     bricks = [Brick(lo, hi) for lo, hi in corners]
-    families = _maximal_families(shape, corners, _Counter(DEFAULT_NODE_CAP))
+    families = _maximal_families(shape, corners, _Counter(DEFAULT_NODE_CAP),
+                                 lambda size, room: False)
     return (IslandSystem(shape, mask_members(mask, bricks), cubic=cubic) for mask in families)

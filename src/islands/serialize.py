@@ -136,7 +136,12 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:
-    row = dict(key)
-    row["report"] = report
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(dumps_canonical(row) + "\n")
+    """Append one row with one ``os.write``, after a newline if the file ends
+    in a torn line, so a killed writer's fragment never swallows the row."""
+    row = (dumps_canonical(dict(key, report=report)) + "\n").encode()
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        end = os.fstat(fd).st_size
+        os.write(fd, row if end == 0 or os.pread(fd, 1, end - 1) == b"\n" else b"\n" + row)
+    finally:
+        os.close(fd)

@@ -62,12 +62,7 @@ def is_laminar(bricks: Iterable[Brick]) -> bool:
 
     Quadratic pairwise check; cheap at the scales this library targets.
     """
-    items = list(bricks)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if not compatible(a, b):
-                return False
-    return True
+    return all(compatible(a, b) for a, b in itertools.combinations(bricks, 2))
 
 
 def max_elements(system: IslandSystem) -> list[Brick]:

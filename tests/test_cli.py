@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,18 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed system document")
+
+    def test_universe_past_the_check_cap_exits_3(self, capsys, tmp_path):
+        # 40x40x40 has 551,368,000 bricks: building its masks would run for hours.
+        document = '{"shape":[40,40,40],"cubic":false,"bricks":[[[0,0,0],[40,40,40]]]}'
+        assert len(document) == 66
+        path = tmp_path / "big.json"
+        path.write_text(document)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", str(path))
+        assert time.perf_counter() - started < 5
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "cap exceeded"
 
     @pytest.mark.parametrize("document", [
         # the string "false" is truthy: read as a cubic system this one is maximal
@@ -241,6 +254,17 @@ class TestCacheRows:
         code, second, err = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
         assert (code, second, err) == (0, first, "")
         assert cache.read_bytes().count(b"\n") == 2  # replayed, nothing appended
+
+    def test_row_after_a_torn_line_is_replayed(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(b'{"shape":[2,2],"cub')  # a killed writer's last line
+        code, first, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        appended = cache.read_bytes()
+        assert appended.count(b"\n") == 2
+        code, second, err = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert (code, second, err) == (0, first, "")
+        assert cache.read_bytes() == appended  # replayed, nothing appended
 
     @pytest.mark.parametrize("kind", sorted(UNREADABLE_CACHE_LINES))
     def test_verify_reads_past_an_unreadable_line(self, capsys, tmp_path, kind):

@@ -23,6 +23,7 @@ from islands import (
     max_rect_system_size,
     min_brick_system_size,
 )
+from islands.serialize import dumps_canonical, system_to_dict
 
 from conftest import B
 
@@ -283,15 +284,56 @@ class TestFlatSearch:
         assert len(report.witness) == report.value
 
 
+@functools.lru_cache(maxsize=None)
+def first_extreme_families(dims, cubic, cap):
+    """The first smallest and first largest system that the unpruned
+    enumeration yields, as canonical JSON bytes keyed by mode."""
+    first = {}
+    for system in enumerate_maximal_systems(Shape(dims), cubic, cap):
+        if "min" not in first or len(system) < len(first["min"]):
+            first["min"] = system
+        if "max" not in first or len(system) > len(first["max"]):
+            first["max"] = system
+    return {mode: dumps_canonical(system_to_dict(system)) for mode, system in first.items()}
+
+
+# Every axis order with d <= 4 and sides <= 6 whose universe has at most 40 bricks.
+FLAT_SHAPES = [
+    dims
+    for d in range(1, 5)
+    for dims in itertools.product(range(1, 7), repeat=d)
+    if brick_count(Shape(dims)) <= 40
+]
+
+
+class TestFlatBranchAndBound:
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    @pytest.mark.parametrize("cubic", [False, True])
+    def test_bounded_walk_keeps_the_first_extreme_family(self, mode, cubic):
+        for dims in FLAT_SHAPES:
+            report = flat_extremal_size(Shape(dims), SearchConfig(mode=mode, cubic=cubic))
+            witness = dumps_canonical(system_to_dict(report.witness))
+            assert witness == first_extreme_families(dims, cubic, 40)[mode], dims
+            assert report.value == len(report.witness), dims
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_bounded_walk_keeps_the_first_extreme_family_of_5x4(self, mode):
+        report = flat_extremal_size(Shape((5, 4)), SearchConfig(mode=mode, brick_count_cap=150))
+        witness = dumps_canonical(system_to_dict(report.witness))
+        assert witness == first_extreme_families((5, 4), False, 150)[mode]
+        assert report.value == len(report.witness) == {"min": 8, "max": 14}[mode]
+
+
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("dims", [(4,), (2, 2), (3, 2), (2, 4), (3, 3), (2, 2, 2), (1, 2, 3)])
+    # Past the flat engine's default cap of 40: 5x4 has 150 bricks and 3x3x3 has 216.
+    @pytest.mark.parametrize("dims", [(4,), (2, 2), (3, 2), (2, 4), (3, 3), (2, 2, 2), (1, 2, 3),
+                                      (5, 4), (3, 3, 3)])
     @pytest.mark.parametrize("mode", ["min", "max"])
     @pytest.mark.parametrize("cubic", [False, True])
     def test_engines_agree(self, dims, mode, cubic):
         shape = Shape(dims)
-        front = extremal_size(shape, SearchConfig(mode=mode, cubic=cubic))
-        flat = flat_extremal_size(shape, SearchConfig(mode=mode, cubic=cubic))
-        assert front.value == flat.value
+        config = SearchConfig(mode=mode, cubic=cubic, brick_count_cap=216)
+        assert extremal_size(shape, config).value == flat_extremal_size(shape, config).value
 
 
 # Every canonical shape with d <= 3 and sides <= 6 whose universe has at most
@@ -390,8 +432,8 @@ def test_computed_values_respect_the_closed_form_bounds():
         (extremal_size, (4, 3, 2), "max", False, (13, 9449, 100)),
         (extremal_size, (2, 2, 2, 2), "min", False, (5, 121, 22)),
         (extremal_size, (3, 3, 3), "max", True, (9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, (7, 1083, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, (4, 263, 0)),
+        (flat_extremal_size, (3, 3), "max", False, (7, 393, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, (4, 169, 0)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
