@@ -58,6 +58,7 @@ from .system import (
     is_laminar,
     is_maximal,
     max_elements,
+    non_maximal_restrictions,
     restrict,
 )
 
@@ -105,6 +106,7 @@ __all__ = [
     "minimal_maximal_systems",
     "nested_cubes",
     "nested_min_system",
+    "non_maximal_restrictions",
     "restrict",
     "shape_symmetries",
     "subdivision_size",

@@ -170,6 +170,7 @@ def cmd_check(args) -> int:
     except RecursionError:  # outside input, not an engine fault: a parse error
         raise ValueError("malformed system document: nested too deeply") from None
     system = system_from_dict(data)
+    check_brick_cap(system.shape, system.cubic, CHECK_BRICK_CAP)  # before any O(n²) scan
     laminar = system.is_laminar
     summary = {
         "laminar": laminar,
@@ -179,7 +180,6 @@ def cmd_check(args) -> int:
         "gap_summary": None,
     }
     if laminar:
-        check_brick_cap(system.shape, system.cubic, CHECK_BRICK_CAP)
         profiles = gap_profiles(system)
         gaps = [gap for profile in profiles for gap in profile.gaps]
         summary["maximal"] = is_maximal(system)

@@ -115,10 +115,7 @@ def _check_same_dim(a: Brick, b: Brick) -> None:
 def contains(outer: Brick, inner: Brick) -> bool:
     """True iff ``inner`` lies inside ``outer`` (not necessarily strictly)."""
     _check_same_dim(outer, inner)
-    return all(
-        oa <= ia and ib <= ob
-        for oa, ob, ia, ib in zip(outer.lo, outer.hi, inner.lo, inner.hi)
-    )
+    return all(map(operator.le, outer.lo, inner.lo)) and all(map(operator.le, inner.hi, outer.hi))
 
 
 def disjoint(a: Brick, b: Brick) -> bool:
@@ -128,10 +125,7 @@ def disjoint(a: Brick, b: Brick) -> bool:
     requires a gap of at least one unit on some axis.
     """
     _check_same_dim(a, b)
-    return any(
-        max(al, bl) > min(ah, bh)
-        for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)
-    )
+    return any(map(operator.gt, a.lo, b.hi)) or any(map(operator.gt, b.lo, a.hi))
 
 
 def compatible(a: Brick, b: Brick) -> bool:

@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 from .errors import CapExceeded
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
-from .system import IslandSystem
+from .system import IslandSystem, _sorted_system
 
 ENGINE_VERSION = "3"
 
@@ -394,29 +394,36 @@ def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter,
     it with P = X = ∅ has nothing left to add, and R is maximal.  A node with
     P ≠ ∅ also dies when ``prune(|R|, |P|)``; a hook that never fires lists
     every maximal family, in the order of their sorted members.
+
+    The walk is one loop over an explicit stack of ``(R, P, X)`` nodes.  A node
+    pushes its exclude child, then its include child, and is counted and
+    pruned when popped, so nodes are met in the preorder of the recursive
+    include-first walk, and ``prune`` sees the incumbent the consumer has
+    kept from every family yielded before.
     """
     table = IntervalMasks(shape, corners)
     compat = [table.compatible(lo, hi) for lo, hi in corners]
-
-    def walk(rmask: int, pmask: int, xmask: int):
+    stack = [(0, table.all, 0)]
+    while stack:
+        rmask, pmask, xmask = stack.pop()
         counter.tick()
         xm = xmask
         while xm:
             low = xm & -xm
             if pmask & ~compat[low.bit_length() - 1] == 0:
-                return
+                break
             xm ^= low
+        if xm:  # the X-prune fired
+            continue
         if pmask == 0:
             yield rmask
-            return
+            continue
         if prune(rmask.bit_count(), pmask.bit_count()):
-            return
+            continue
         low = pmask & -pmask
-        v = low.bit_length() - 1
-        yield from walk(rmask | low, pmask & compat[v], xmask & compat[v])
-        yield from walk(rmask, pmask ^ low, xmask | low)
-
-    return walk(0, table.all, 0)
+        row = compat[low.bit_length() - 1]
+        stack.append((rmask, pmask ^ low, xmask | low))
+        stack.append((rmask | low, pmask & row, xmask & row))
 
 
 def enumerate_maximal_systems(
@@ -428,11 +435,13 @@ def enumerate_maximal_systems(
     it is independent of the front engine.  The brick cap is checked on the
     call, before the first system is asked for; symmetry classes are
     :func:`~islands.system.canonical_form`'s job.  Each brick of the universe
-    is built once and shared by the systems that hold it.
+    is built once and shared by the systems that hold it.  The universe is
+    listed in brick order and every brick fits the shape, so a family decoded
+    from it is already sorted and valid, and is wrapped without re-checking.
     """
     check_brick_cap(shape, cubic, cap)
     corners = list(brick_corners(shape, cubic))
     bricks = [Brick(lo, hi) for lo, hi in corners]
     families = _maximal_families(shape, corners, _Counter(DEFAULT_NODE_CAP),
                                  lambda size, room: False)
-    return (IslandSystem(shape, mask_members(mask, bricks), cubic=cubic) for mask in families)
+    return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)

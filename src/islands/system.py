@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -57,6 +59,19 @@ class IslandSystem:
         return is_laminar(self.bricks)
 
 
+def _sorted_system(shape: Shape, bricks: Iterable[Brick], cubic: bool) -> IslandSystem:
+    """An :class:`IslandSystem` built without the checks of its constructor.
+
+    Precondition: the bricks are sorted, distinct, valid in ``shape`` and
+    cubes when ``cubic``.  A module function, not a classmethod: the
+    benchmark's tracer swaps ``IslandSystem`` in other modules for a plain
+    function, which has no class attributes.
+    """
+    system = object.__new__(IslandSystem)
+    vars(system).update(shape=shape, bricks=tuple(bricks), cubic=cubic)
+    return system
+
+
 def is_laminar(bricks: Iterable[Brick]) -> bool:
     """True iff every pair of bricks is nested or disjoint.
 
@@ -66,14 +81,24 @@ def is_laminar(bricks: Iterable[Brick]) -> bool:
 
 
 def max_elements(system: IslandSystem) -> list[Brick]:
-    """The inclusion-maximal members, the full ambient brick excluded.
+    """The inclusion-maximal members, the full ambient brick excluded, in the
+    order of ``system.bricks``.
 
     For a laminar system containing the full brick these are pairwise
-    disjoint: the top layer sitting directly below the ambient box.
+    disjoint: the top layer sitting directly below the ambient box.  Members
+    are taken by decreasing volume and each is tested only against the
+    maximal members found so far: a strict container has a larger volume, so
+    a member inside another is inside some maximal one already found.  That
+    holds for any family, laminar or not.
     """
     full = system.shape.full_brick()
     rest = [b for b in system.bricks if b != full]
-    return [b for b in rest if not any(o != b and contains(o, b) for o in rest)]
+    volumes = [math.prod(b.sides()) for b in rest]
+    found: list[int] = []
+    for i in sorted(range(len(rest)), key=volumes.__getitem__, reverse=True):
+        if not any(contains(rest[j], rest[i]) for j in found):
+            found.append(i)
+    return [rest[i] for i in sorted(found)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,9 +148,40 @@ def restrict(system: IslandSystem, region: Brick) -> IslandSystem:
     """
     if region not in system.bricks:
         raise ValueError(f"region {region} is not a member of the system")
-    offset = tuple(-a for a in region.lo)
-    inside = [b.translate(offset) for b in system.bricks if contains(region, b)]
-    return IslandSystem(region.inner_shape(), inside, cubic=system.cubic)
+    at = region.lo
+    inside = [Brick(tuple(map(operator.sub, b.lo, at)), tuple(map(operator.sub, b.hi, at)))
+              for b in system.bricks if contains(region, b)]
+    # translation keeps the members' order, and containment puts them in the region
+    return _sorted_system(region.inner_shape(), inside, system.cubic)
+
+
+def non_maximal_restrictions(system: IslandSystem) -> list[Brick]:
+    """The members whose :func:`restrict` is not maximal, in member order.
+
+    Equal to ``[b for b in system if not is_maximal(restrict(system, b))]``,
+    which the tests hold it to, but read off the universe's masks with no
+    Brick or system built.  Translation by ``-b.lo`` maps the universe's
+    bricks inside ``b`` one to one onto the universe of ``b.inner_shape()``
+    and keeps compatibility, so the restriction to ``b`` is maximal iff no
+    brick inside ``b`` is compatible with every member inside ``b``.  Each such
+    member drops out through its own row, which leaves out its own bit.
+    Neither laminarity nor maximality of ``system`` is assumed.
+    """
+    table = _universe_masks(system.shape, system.cubic)
+    rows = []  # per member: its own bit, the bricks inside it, its compatibility row
+    for b in system.bricks:
+        inside, around, apart = table.relations(b.lo, b.hi)
+        own = inside & around
+        rows.append((own, inside, (inside | around | apart) & ~own))
+    bad = []
+    for b, (_, inside, _) in zip(system.bricks, rows):
+        addable = inside
+        for own, _, compat in rows:
+            if own & inside:
+                addable &= compat
+        if addable:
+            bad.append(b)
+    return bad
 
 
 def greedy_complete(system: IslandSystem) -> IslandSystem:

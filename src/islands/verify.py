@@ -33,7 +33,7 @@ from .search import (
     flat_extremal_size,
 )
 from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
-from .system import IslandSystem, gap_profiles, is_maximal, max_elements, restrict
+from .system import IslandSystem, gap_profiles, max_elements, non_maximal_restrictions
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -191,6 +191,10 @@ def corollary_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
     restriction to any member is again maximal and the full brick is always
     a member.  onedim: every maximal system of a segment of length m has
     exactly m members (checked for m up to ``ONEDIM_MAX``).
+
+    The restriction check runs in the universe's masks
+    (:func:`~islands.system.non_maximal_restrictions`); ``restrict`` and
+    ``is_maximal`` are the reference the tests hold it to.
     """
     cases = [(shape, ("corners", "gaps", "restrict"),
               functools.partial(_structure_violations, _corner_cells(shape)))
@@ -231,6 +235,6 @@ def _structure_violations(cells: list[Brick], system: IslandSystem) -> tuple[int
                 flanks = (gap.left_elementary, gap.right_elementary)
                 # a corner gap (a None flank) means an unoccupied corner cell
                 gaps += gap.length > 2 or None in flanks or gap.length == 2 and all(flanks)
-    restricts = sum(not is_maximal(restrict(system, member)) for member in system.bricks)
+    restricts = len(non_maximal_restrictions(system))
     restricts += system.shape.full_brick() not in system.bricks
     return corners, gaps, restricts

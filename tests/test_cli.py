@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -121,6 +122,24 @@ class TestCheck:
         assert len(document) == 66
         path = tmp_path / "big.json"
         path.write_text(document)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "check", str(path))
+        assert time.perf_counter() - started < 5
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "cap exceeded"
+
+    @pytest.mark.parametrize("laminar", [True, False])
+    def test_large_document_past_the_check_cap_exits_3_before_its_laminarity_scan(
+            self, capsys, tmp_path, laminar):
+        # the full brick and the 8,000 unit cells at even coordinates: the scalar
+        # pairwise laminarity scan alone would run for minutes
+        cells = [[[x, y, z], [x + 1, y + 1, z + 1]]
+                 for x in range(0, 40, 2) for y in range(0, 40, 2) for z in range(0, 40, 2)]
+        if not laminar:
+            cells.append([[0, 0, 0], [2, 2, 2]])  # shares a corner with the cell at 2,2,2
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"shape": [40, 40, 40], "cubic": False,
+                                    "bricks": [[[0, 0, 0], [40, 40, 40]]] + cells}))
         started = time.perf_counter()
         code, out, err = run(capsys, "check", str(path))
         assert time.perf_counter() - started < 5
@@ -531,6 +550,15 @@ class TestVerify:
         ] + [(str(m), "onedim", 0, int(m == 3), "FAIL" if m == 3 else "PASS")
              for m in range(1, 7)]
         assert all(row["cubic"] is False for row in rows)
+
+    def test_corollary_sweep_output_is_pinned(self, capsys):
+        # sha256 of the rows as the scalar restrict/is_maximal check printed them
+        code, out, _ = run(capsys, "verify", "corollaries", "--shape", "4,3", "--shape", "3,2,2",
+                           "--shape", "2,2,2,2", "--shape", "2,2,2", "--format", "json",
+                           "--no-cache")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e212c0543543b595095f4c0f1c2a7a08df501b3211fe35933d081ab8d1dc3447")
 
     def test_corollaries_on_small_shapes(self, capsys):
         code, out, _ = run(capsys, "verify", "corollaries", "--shape", "2,2",

@@ -110,6 +110,18 @@ class TestPredicates:
                 if disjoint(a, b):
                     assert not contains(a, b) and not contains(b, a)
 
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+    def test_predicates_match_their_lattice_point_definitions(self, dims):
+        # closed integer boxes meet iff they share a lattice point
+        def points(b):
+            return set(itertools.product(*(range(a, h + 1) for a, h in zip(b.lo, b.hi))))
+
+        bricks = list(enumerate_bricks(Shape(dims)))
+        for a in bricks:
+            for b in bricks:
+                assert contains(a, b) == (points(b) <= points(a))
+                assert disjoint(a, b) == (not points(a) & points(b))
+
     def test_contains_transitive(self):
         bricks = list(enumerate_bricks(Shape((3, 3))))
         for a, b in itertools.permutations(bricks, 2):

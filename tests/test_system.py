@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,9 @@ from islands import (
     IslandSystem,
     Shape,
     addable_bricks,
+    brick_count,
     compatible,
+    contains,
     enumerate_bricks,
     enumerate_maximal_systems,
     gap_profiles,
@@ -15,6 +20,7 @@ from islands import (
     is_maximal,
     max_elements,
     nested_min_system,
+    non_maximal_restrictions,
     restrict,
     subdivision_system,
 )
@@ -53,7 +59,35 @@ class TestLaminar:
         assert nested_min_system(Shape(dims)).is_laminar
 
 
+FAMILY_SHAPES = [(3,), (3, 3), (3, 2, 2), (2, 2, 2, 2)]
+
+
+def reference_non_maximal_restrictions(system):
+    return [b for b in system if not is_maximal(restrict(system, b))]
+
+
+@st.composite
+def arbitrary_families(draw):
+    """Any subfamily, laminar or not, of a small universe, under either flag."""
+    shape = Shape(draw(st.sampled_from(FAMILY_SHAPES)))
+    cubic = draw(st.booleans())
+    universe = list(enumerate_bricks(shape, cubic))
+    return IslandSystem(shape, draw(st.lists(st.sampled_from(universe), max_size=12)), cubic)
+
+
+def scalar_max_elements(system):
+    """The O(n²) definition: members no other member contains, full brick left out."""
+    full = system.shape.full_brick()
+    rest = [b for b in system.bricks if b != full]
+    return [b for b in rest if not any(o != b and contains(o, b) for o in rest)]
+
+
 class TestMaxElements:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(arbitrary_families(), laminar_systems(), laminar_systems(cubic=True)))
+    def test_matches_the_quadratic_definition(self, system):
+        assert max_elements(system) == scalar_max_elements(system)
+
     def test_only_full_brick(self):
         shape = Shape((2, 2))
         assert max_elements(IslandSystem(shape, [shape.full_brick()])) == []
@@ -109,6 +143,15 @@ class TestAddable:
             for brick in enumerate_bricks(shape):
                 if brick not in members:
                     assert not is_laminar(list(system.bricks) + [brick])
+
+
+# Every canonical shape with d <= 4 whose universe has at most 40 bricks.
+SMALL_SHAPES = [
+    Shape(dims)
+    for d in range(1, 5)
+    for dims in itertools.combinations_with_replacement(range(8, 0, -1), d)
+    if brick_count(Shape(dims)) <= 40
+]
 
 
 def scalar_addable(system):
@@ -171,20 +214,50 @@ class TestRestrict:
                 assert is_maximal(restrict(system, member))
 
     def test_restriction_property_over_every_small_shape(self):
-        # full sweep of the same property over every shape the flat search allows
-        import itertools
+        # full sweep of the same property over every shape the flat search
+        # allows, through the reference and through the mask check
+        for shape in SMALL_SHAPES:
+            for system in enumerate_maximal_systems(shape):
+                assert shape.full_brick() in system
+                for member in system:
+                    assert is_maximal(restrict(system, member))
+                assert non_maximal_restrictions(system) == []
 
-        from islands import brick_count
+    @pytest.mark.parametrize("cubic", [False, True])
+    def test_unchecked_systems_equal_checked_ones(self, cubic):
+        # enumerate_maximal_systems and restrict skip the constructor's sorting
+        # and validation; rebuilding through it must change nothing
+        for dims in [(6,), (4, 2), (3, 3), (3, 2, 1), (2, 2, 2), (2, 2, 1, 1)]:
+            shape = Shape(dims)
+            for system in enumerate_maximal_systems(shape, cubic):
+                assert system == IslandSystem(shape, system.bricks, cubic=cubic)
+                assert type(system.bricks) is tuple
+                for member in system:
+                    sub = restrict(system, member)
+                    assert sub == IslandSystem(sub.shape, sub.bricks, cubic=cubic)
+                    assert type(sub.bricks) is tuple
 
-        for d in range(1, 5):
-            for dims in itertools.combinations_with_replacement(range(8, 0, -1), d):
-                shape = Shape(dims)
-                if brick_count(shape) > 40:
-                    continue
-                for system in enumerate_maximal_systems(shape):
-                    assert shape.full_brick() in system
-                    for member in system:
-                        assert is_maximal(restrict(system, member))
+
+class TestNonMaximalRestrictions:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(arbitrary_families(), laminar_systems(), laminar_systems(cubic=True)))
+    def test_matches_the_reference(self, system):
+        assert non_maximal_restrictions(system) == reference_non_maximal_restrictions(system)
+
+    def test_seeded_families_reach_both_outcomes(self):
+        # the comparison above is not vacuous: drawn families go both ways
+        rng = random.Random(11)
+        flagged = total = 0
+        for dims, cubic in itertools.product(FAMILY_SHAPES, (False, True)):
+            universe = list(enumerate_bricks(Shape(dims), cubic))
+            for _ in range(60):
+                picks = rng.sample(universe, rng.randint(0, min(8, len(universe))))
+                system = IslandSystem(Shape(dims), picks, cubic)
+                bad = reference_non_maximal_restrictions(system)
+                assert non_maximal_restrictions(system) == bad
+                flagged += bool(bad)
+                total += 1
+        assert 0 < flagged < total
 
 
 class TestGreedyComplete:
@@ -269,9 +342,7 @@ def test_corner_and_gap_structure_over_every_small_shape():
     cell of the box lies in some maximal member, every edge gap has length
     at most 2, and no length-2 gap sits between two elementary cells.
     """
-    import itertools
-
-    from islands import Brick, brick_count, contains
+    from islands import Brick
 
     for d in range(1, 5):
         for dims in itertools.combinations_with_replacement(range(8, 0, -1), d):
