@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch
 
@@ -189,10 +189,16 @@ class IntervalMasks:
         return (inside | around | apart) & ~(inside & around)
 
 
-def mask_members(mask: int, items: Iterable) -> list:
+def mask_members(mask: int, items: Sequence) -> list:
     """The items whose bit is set in ``mask``, in list order: the one decoder
-    that turns the engines' and :class:`IntervalMasks`' masks back into items."""
-    return [item for item, bit in zip(items, bin(mask)[:1:-1]) if bit == "1"]
+    that turns the engines' and :class:`IntervalMasks`' masks back into items.
+    It visits the set bits only, so it costs O(members), not O(len(items))."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(items[low.bit_length() - 1])
+        mask ^= low
+    return members
 
 
 def brick_corners(

@@ -27,18 +27,19 @@ against, and still check fronts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system
 
-ENGINE_VERSION = "3"
+ENGINE_VERSION = "4"
 
 FRONT_BRICK_CAP = 200
 FLAT_BRICK_CAP = 40
@@ -135,12 +136,19 @@ class _Region:
     when it is in ``keep`` of every member, so the AND of the members'
     ``keep`` rows is the set of candidates that could still sit on top of
     the front.  Both rows are read off the candidates' ``IntervalMasks``.
-    ``sides[j]`` is c_j's own shape and ``points[j]`` its lattice points.
+    ``sides[j]`` is c_j's own shape.
+
+    With ``lattice``, ``points[j]`` is c_j's lattice points as a mask over the
+    region's: point ``x`` is bit ``sum(x_i * stride_i)``, so the mask is the
+    product of one run of bits per axis, a product with no carries, and is
+    built as the mask of a box of c_j's sides at the origin, shifted to c_j's
+    lower corner.  ``reach[j]`` is the OR of ``points[u]`` over every
+    ``u >= j`` (``reach[n]`` is 0).  Without ``lattice`` both are all 0.
     """
 
-    __slots__ = ("corners", "disj", "keep", "all_mask", "sides", "points")
+    __slots__ = ("corners", "disj", "keep", "all_mask", "sides", "points", "reach")
 
-    def __init__(self, dims: tuple[int, ...], cubic: bool):
+    def __init__(self, dims: tuple[int, ...], cubic: bool, lattice: bool):
         shape = Shape(dims)
         full = ((0,) * len(dims), shape.dims)
         corners = [c for c in brick_corners(shape, cubic) if c != full]
@@ -151,51 +159,64 @@ class _Region:
         self.keep = [(around | apart) & ~(1 << j) for j, (_, around, apart) in enumerate(rows)]
         self.all_mask = table.all
         self.sides = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]
-        lattice = {sides: math.prod(s + 1 for s in sides) for sides in set(self.sides)}
-        self.points = [lattice[sides] for sides in self.sides]
+        self.points = [0] * len(corners)
+        if lattice:
+            strides = list(itertools.accumulate((m + 1 for m in dims[:-1]), operator.mul, initial=1))
+            box = {sides: math.prod(((1 << (s + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
+                                    for s, t in zip(sides, strides))
+                   for sides in set(self.sides)}
+            los = [lo for lo, _ in corners]
+            shift = {lo: sum(map(operator.mul, lo, strides)) for lo in dict.fromkeys(los)}
+            self.points = [box[sides] << shift[lo] for sides, lo in zip(self.sides, los)]
+        self.reach = list(itertools.accumulate(reversed(self.points), operator.or_, initial=0))[::-1]
 
 
 def _saturated_front_masks(
-    region: _Region, counter: _Counter, gain: list[int], prune: Callable[[int, int], bool]
+    region: _Region, counter: _Counter, gain: list[int], prune: Callable[[int, int, int, int], bool]
 ) -> Iterator[tuple[int, int]]:
     """The region's saturated fronts as masks over its candidates, in
     lexicographic order, each with ``partial``, the sum of its members' ``gain``.
 
     Fronts are grown by appending candidates in increasing index order, so
     each disjoint family is visited once, and a front's next member lies past
-    its highest bit, ``members.bit_length()``.  Only families that no candidate
-    is disjoint from (``allowed == 0``) can be saturated.  The walk carries
-    ``breakers``, the AND of the members' ``keep`` rows: the candidates that
-    contain or avoid every member.  Such a family is saturated iff that
+    its highest bit, ``start = members.bit_length()``.  Only families that no
+    candidate is disjoint from (``allowed == 0``) can be saturated.  The walk
+    carries ``breakers``, the AND of the members' ``keep`` rows: the candidates
+    that contain or avoid every member.  Such a family is saturated iff that
     mask is empty, so a leaf costs one comparison.
 
-    It also carries ``used``, the members' lattice points, and drops a node
-    with ``allowed != 0`` (every front below has one member more) when
-    ``prune(partial, used)``: the bound of :class:`_FrontEngine`.  With no
-    incumbent, ``prune`` never fires and every saturated front is seen.
+    It also carries ``free``, the region's lattice points that no member
+    holds, and drops a node with ``allowed != 0`` (every front below has one
+    member more) when ``prune(partial, allowed, free, start)``: the bound of
+    :class:`_FrontEngine`.  With a ``prune`` that never fires, every saturated
+    front is seen.
+
+    The walk is one loop over an explicit stack of nodes.  A node pushes its
+    children highest index first and each is counted and pruned when popped,
+    so nodes are met in the preorder of the recursive walk, and ``prune`` sees
+    the incumbent the consumer has kept from every front yielded before.
     """
     disj = region.disj
     keep = region.keep
     points = region.points
-
-    def walk(members: int, breakers: int, allowed: int, partial: int, used: int):
+    stack = [(0, region.all_mask, region.all_mask, 0, region.reach[0])]
+    while stack:
+        members, breakers, allowed, partial, free = stack.pop()
         counter.tick()
         if allowed == 0:
             if breakers == 0:
                 yield members, partial
-            return
-        if prune(partial, used):
-            return
+            continue
         start = members.bit_length()  # one past the last member appended
+        if prune(partial, allowed, free, start):
+            continue
         ext = allowed >> start << start
         while ext:
-            low = ext & -ext
-            v = low.bit_length() - 1
-            yield from walk(members | low, breakers & keep[v], allowed & disj[v],
-                            partial + gain[v], used + points[v])
-            ext ^= low
-
-    yield from walk(0, region.all_mask, region.all_mask, 0, 0)
+            v = ext.bit_length() - 1
+            high = 1 << v
+            stack.append((members | high, breakers & keep[v], allowed & disj[v],
+                          partial + gain[v], free ^ points[v]))
+            ext ^= high
 
 
 def front_is_saturated(front: Front, cubic: bool = False) -> bool:
@@ -227,10 +248,10 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     region is held to the front engine's default brick cap.
     """
     check_brick_cap(region, cubic, FRONT_BRICK_CAP)
-    table = _Region(region.dims, cubic)
+    table = _Region(region.dims, cubic, lattice=False)
     bricks = [Brick(lo, hi) for lo, hi in table.corners]
     fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.corners),
-                                    lambda partial, used: False)
+                                    lambda *node: False)
     return (Front(region, tuple(mask_members(members, bricks))) for members, _ in fronts)
 
 
@@ -245,10 +266,22 @@ class _FrontEngine:
     regions, and axis relabeling is a bijection on systems.
 
     The front walk is an exact branch-and-bound in integers on ``partial``,
-    the members' value sum: max prunes when ``partial·den + num·(V − used)
-    <= best·den`` (disjoint closed bricks share none of the region's ``V``
-    lattice points), min when ``partial + vmin >= best``.  Only fronts that
-    cannot strictly beat the incumbent go, so the first optimal front in
+    the members' value sum.  Every front below a node with a disjoint
+    candidate left has more members, all of index ``start`` or more, disjoint
+    from the members so far and from each other.
+
+    * max prunes when ``partial·den + num·|free & reach[start]| <= best·den``:
+      disjoint closed bricks share no lattice point, so the members to come
+      hold at most that many points, at ``num/den``, the largest gain per
+      lattice point, each.
+    * min prunes when ``partial + least >= best``, or when the unit cells
+      disjoint from every member are more than ``(best − 1 − partial)·a/b``:
+      a saturated front takes or meets each such cell, and one member meets at
+      most ``a/b`` cells per unit of gain.
+
+    ``{j}`` alone is a saturated front iff ``keep[j] == 0``, and the walk meets
+    it, so the incumbent starts one short of the best such gain.  Only fronts
+    that cannot strictly beat the incumbent go, so the first optimal front in
     generation order, the witness, is kept.  The walk yields fronts as masks;
     only the winning one is decoded, once per region, into the memo's corners.
     """
@@ -272,30 +305,34 @@ class _FrontEngine:
         if hit is not None:
             self.counter.memo_hits += 1
             return hit[0]
-        region = _Region(dims, self.cubic)
+        region = _Region(dims, self.cubic, lattice=not self.minimizing)
         values = {sides: self.value(sides) for sides in dict.fromkeys(region.sides)}
         gain = [values[sides] for sides in region.sides]
-        best = best_mask = None  # the best sum of member values so far, and its front
+        singles = [g for g, k in zip(gain, region.keep) if k == 0]
         if self.minimizing:
+            best = min(singles, default=sum(gain)) + 1
             least = min(gain, default=0)
+            unit = (1,) * len(dims)
+            cells = sum(1 << j for j, sides in enumerate(region.sides) if sides == unit)
+            # the most unit cells per unit of gain that one member meets or is
+            a, b = _largest_ratio(((cells & ~apart).bit_count(), g)
+                                  for g, apart in zip(gain, region.disj))
 
-            def prune(partial: int, used: int) -> bool:
-                return best is not None and partial + least >= best
+            def prune(partial: int, allowed: int, free: int, start: int) -> bool:
+                return (partial + least >= best
+                        or (allowed & cells).bit_count() * b > (best - 1 - partial) * a)
         else:
-            num, den = 0, 1  # the largest gain per lattice point
-            for g, p in zip(gain, region.points):
-                if g * den > num * p:
-                    num, den = g, p
-            room = math.prod(m + 1 for m in dims)
+            best = max(singles, default=0) - 1
+            reach = region.reach
+            num, den = _largest_ratio((g, p.bit_count()) for g, p in zip(gain, region.points))
 
-            def prune(partial: int, used: int) -> bool:
-                return best is not None and partial * den + num * (room - used) <= best * den
+            def prune(partial: int, allowed: int, free: int, start: int) -> bool:
+                return partial * den + num * (free & reach[start]).bit_count() <= best * den
 
+        best_mask = 0
         for members, partial in _saturated_front_masks(region, self.counter, gain, prune):
-            if best is None or (partial < best if self.minimizing else partial > best):
+            if partial < best if self.minimizing else partial > best:
                 best, best_mask = partial, members
-        if best is None:
-            raise AssertionError(f"region {dims} has no saturated front")
         value = self.base(dims) + best
         self.memo[key] = (value, mask_members(best_mask, region.corners), dims)
         return value
@@ -312,6 +349,15 @@ class _FrontEngine:
         for lo, hi in front:
             yield from self.witness_corners(tuple(map(operator.sub, hi, lo)),
                                             tuple(map(operator.add, at, lo)))
+
+
+def _largest_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The largest ``p/q`` over pairs with ``q > 0``, as ``(p, q)``; ``(0, 1)`` if none."""
+    num, den = 0, 1
+    for p, q in pairs:
+        if p * den > num * q:
+            num, den = p, q
+    return num, den
 
 
 def _axis_assignment(src_dims: tuple[int, ...], dst_dims: tuple[int, ...]) -> tuple[int, ...]:

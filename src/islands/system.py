@@ -124,7 +124,7 @@ def addable_bricks(system: IslandSystem) -> list[Brick]:
     Cubic systems only admit cubes.  An empty result is exactly maximality.
     """
     _, addable = _addable_mask(system)
-    universe = brick_corners(system.shape, system.cubic)
+    universe = list(brick_corners(system.shape, system.cubic))
     return [Brick(lo, hi) for lo, hi in mask_members(addable, universe)]
 
 
@@ -255,9 +255,12 @@ def gap_profiles(system: IslandSystem) -> list[GapProfile]:
     face on every other axis; for a maximal system those segments are
     pairwise separated, and the reported gaps are what is left over.
     """
-    dims = system.shape.dims
+    return _edge_profiles(system.shape.dims, max_elements(system))
+
+
+def _edge_profiles(dims: tuple[int, ...], members: list[Brick]) -> list[GapProfile]:
+    """:func:`gap_profiles` of the box ``dims`` with these maximal members."""
     d = len(dims)
-    members = max_elements(system)
     profiles = []
     for free in range(d):
         others = [j for j in range(d) if j != free]

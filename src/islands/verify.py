@@ -33,7 +33,7 @@ from .search import (
     flat_extremal_size,
 )
 from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
-from .system import IslandSystem, gap_profiles, max_elements, non_maximal_restrictions
+from .system import IslandSystem, _edge_profiles, max_elements, non_maximal_restrictions
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -225,12 +225,13 @@ def _corner_cells(shape: Shape) -> list[Brick]:
 
 def _structure_violations(cells: list[Brick], system: IslandSystem) -> tuple[int, int, int]:
     """The system's corner, gap and restriction violations; ``cells`` are its
-    shape's corner cells."""
+    shape's corner cells.  The maximal members are found once and feed both
+    the corner and the gap check."""
     members = max_elements(system)
     corners = gaps = 0
     if len(members) > 1:
         corners = sum(not any(contains(member, cell) for member in members) for cell in cells)
-        for profile in gap_profiles(system):
+        for profile in _edge_profiles(system.shape.dims, members):
             for gap in profile.gaps:
                 flanks = (gap.left_elementary, gap.right_elementary)
                 # a corner gap (a None flank) means an unoccupied corner cell

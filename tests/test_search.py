@@ -20,9 +20,11 @@ from islands import (
     flat_extremal_size,
     is_maximal,
     max_cube_system_bound,
+    max_elements,
     max_rect_system_size,
     min_brick_system_size,
 )
+from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_to_dict
 
 from conftest import B
@@ -249,6 +251,21 @@ class TestBranchAndBound:
             assert is_maximal(report.witness), dims
             assert len(report.witness) == report.value, dims
 
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    @pytest.mark.parametrize("cubic", [False, True])
+    def test_witness_top_layer_is_the_first_optimal_front(self, mode, cubic):
+        pick = min if mode == "min" else max
+        for dims in PRUNING_SHAPES:
+            shape = Shape(dims)
+            if brick_count(shape, cubic) > 200:
+                continue
+            fronts = [front.members for front in enumerate_saturated_fronts(shape, cubic)]
+            totals = [sum(unpruned_value(tuple(sorted(m.sides())), mode, cubic) for m in members)
+                      for members in fronts]
+            first = fronts[totals.index(pick(totals))]
+            report = extremal_size(shape, SearchConfig(mode=mode, cubic=cubic))
+            assert tuple(max_elements(report.witness)) == first, dims
+
     def test_cubic_7x7_max_reaches_the_theorem_3_bound(self):
         # 7 + 1 is a power of two, so the bound 21 is attained.
         report = extremal_size(Shape((7, 7)), SearchConfig(mode="max", cubic=True))
@@ -257,6 +274,23 @@ class TestBranchAndBound:
         assert report.witness.is_laminar
         assert is_maximal(report.witness)
         assert len(report.witness) == 21
+
+
+class TestReach:
+    # Node caps far below what the engine version "3" bounds needed: 7.52 M
+    # nodes for brick 6x6 max, 2.79 M for cubic 7x7 min.
+    def test_brick_6x6_max(self):
+        config = SearchConfig(mode="max", brick_count_cap=441, node_cap=10 ** 6)
+        report = extremal_size(Shape((6, 6)), config)
+        assert report.value == max_rect_system_size(6, 6) == 23
+        assert is_maximal(report.witness)
+        assert len(report.witness) == 23
+
+    def test_cubic_7x7_min(self):
+        report = extremal_size(Shape((7, 7)), SearchConfig(mode="min", cubic=True, node_cap=10 ** 5))
+        assert report.value == 7
+        assert is_maximal(report.witness)
+        assert len(report.witness) == 7
 
 
 class TestFlatSearch:
@@ -428,18 +462,19 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, (14, 11044, 88)),
-        (extremal_size, (4, 3, 2), "max", False, (13, 9449, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, (5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, (9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, (7, 393, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, (4, 169, 0)),
+        (extremal_size, (5, 4), "max", False, ("4", 14, 5789, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("4", 13, 4141, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("4", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("4", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("4", 7, 393, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("4", 4, 169, 0)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
     # The walks read the region and compatibility masks; a wrong mask moves a count.
+    # Cached reports carry these counts, so a count that moves needs an ENGINE_VERSION bump.
     report = search(Shape(dims), SearchConfig(mode=mode, cubic=cubic))
-    assert (report.value, report.nodes_explored, report.memo_hits) == expected
+    assert (ENGINE_VERSION, report.value, report.nodes_explored, report.memo_hits) == expected
 
 
 # Bricks written as "lo-hi" digit strings.  4,5 max replays a memo entry of
