@@ -28,7 +28,7 @@ from .serialize import (
     system_from_dict,
     system_to_dict,
 )
-from .system import gap_profiles, is_maximal, max_elements
+from .system import _edge_profiles, is_maximal, max_elements
 from . import verify as sweeps
 
 EXIT_OK = 0
@@ -180,10 +180,11 @@ def cmd_check(args) -> int:
         "gap_summary": None,
     }
     if laminar:
-        profiles = gap_profiles(system)
+        members = max_elements(system)
+        profiles = _edge_profiles(system.shape.dims, members)
         gaps = [gap for profile in profiles for gap in profile.gaps]
         summary["maximal"] = is_maximal(system)
-        summary["max_elements"] = len(max_elements(system))
+        summary["max_elements"] = len(members)
         summary["gap_summary"] = {
             "edges": len(profiles),
             "gap_count": len(gaps),

@@ -119,17 +119,13 @@ def _unit_extension_chains(start: Brick, shape: Shape) -> Iterator[frozenset[Bri
             yield frozenset(chain)
             return
         for axis in range(len(dims)):
-            if current.lo[axis] > 0:
-                lo = list(current.lo)
-                lo[axis] -= 1
-                nxt = Brick(tuple(lo), current.hi)
-                chain.append(nxt)
-                yield from grow(nxt)
-                chain.pop()
-            if current.hi[axis] < dims[axis]:
-                hi = list(current.hi)
-                hi[axis] += 1
-                nxt = Brick(current.lo, tuple(hi))
+            for down, up in ((1, 0), (0, 1)):  # the low end first
+                lo, hi = list(current.lo), list(current.hi)
+                lo[axis] -= down
+                hi[axis] += up
+                if lo[axis] < 0 or hi[axis] > dims[axis]:
+                    continue  # the step would leave the box
+                nxt = Brick(tuple(lo), tuple(hi))
                 chain.append(nxt)
                 yield from grow(nxt)
                 chain.pop()

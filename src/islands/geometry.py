@@ -94,6 +94,9 @@ class Brick:
 
     def translate(self, offset: Iterable[int]) -> Brick:
         off = tuple(offset)
+        if len(off) != self.ndim:
+            raise DimensionMismatch(f"an offset of dimension {len(off)} cannot move "
+                                    f"a brick of dimension {self.ndim}")
         return Brick(
             tuple(a + o for a, o in zip(self.lo, off)),
             tuple(b + o for b, o in zip(self.hi, off)),
@@ -253,6 +256,9 @@ def transform_brick(
     brick: Brick, shape: Shape, perm: tuple[int, ...], flips: tuple[bool, ...]
 ) -> Brick:
     """Apply one shape symmetry to a brick."""
+    if brick.ndim != shape.ndim:
+        raise DimensionMismatch(f"a brick of dimension {brick.ndim} is not in a shape "
+                                f"of dimension {shape.ndim}")
     lo = []
     hi = []
     for i in range(shape.ndim):

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import CapExceeded
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
-from .system import IslandSystem, _sorted_system
+from .system import IslandSystem, _sorted_system, _universe_masks
 
 ENGINE_VERSION = "4"
 
@@ -418,7 +418,7 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
         def prune(size: int, room: int) -> bool:
             return size + room <= best if maximizing else size + 1 >= best
 
-        for mask in _maximal_families(shape, corners, counter, prune):
+        for mask in _maximal_families(shape, config.cubic, corners, counter, prune):
             size = mask.bit_count()
             if size > best if maximizing else size < best:
                 best, best_mask = size, mask
@@ -427,9 +427,10 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     return _run(shape, config, FLAT_BRICK_CAP, solve)
 
 
-def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter,
+def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: _Counter,
                       prune: Callable[[int, int], bool]) -> Iterator[int]:
-    """Bron–Kerbosch over the listed bricks, yielding each maximal family as a mask.
+    """Bron–Kerbosch over ``corners``, the universe of ``(shape, cubic)`` in the order
+    of its cached table in ``system``; yields each maximal family as a mask.
 
     The walk takes the bricks in list order with include/exclude decisions and
     carries three masks: the chosen bricks R, the candidates P still compatible
@@ -447,7 +448,7 @@ def _maximal_families(shape: Shape, corners: list[tuple], counter: _Counter,
     include-first walk, and ``prune`` sees the incumbent the consumer has
     kept from every family yielded before.
     """
-    table = IntervalMasks(shape, corners)
+    table = _universe_masks(shape, cubic)
     compat = [table.compatible(lo, hi) for lo, hi in corners]
     stack = [(0, table.all, 0)]
     while stack:
@@ -488,6 +489,6 @@ def enumerate_maximal_systems(
     check_brick_cap(shape, cubic, cap)
     corners = list(brick_corners(shape, cubic))
     bricks = [Brick(lo, hi) for lo, hi in corners]
-    families = _maximal_families(shape, corners, _Counter(DEFAULT_NODE_CAP),
+    families = _maximal_families(shape, cubic, corners, _Counter(DEFAULT_NODE_CAP),
                                  lambda size, room: False)
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)

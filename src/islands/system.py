@@ -188,18 +188,15 @@ def greedy_complete(system: IslandSystem) -> IslandSystem:
     """Extend to a maximal system by repeatedly adding the least addable brick.
 
     Deterministic by the lexicographic tie-break; a maximal input is returned
-    unchanged.  An addition only removes bricks from the addable set, so one
-    pass over the universe in brick order finds every addition.
+    unchanged.  Each step adds the brick of the addable mask's lowest bit,
+    read off the listed universe as in :func:`addable_bricks`, and ANDs in
+    that brick's compatibility row.
     """
     table, addable = _addable_mask(system)
-    universe = brick_corners(system.shape, system.cubic)
+    universe = list(brick_corners(system.shape, system.cubic))
     added = []
-    position = 0
     while addable:
-        low = addable & -addable
-        index = low.bit_length() - 1
-        lo, hi = next(itertools.islice(universe, index - position, None))
-        position = index + 1
+        lo, hi = universe[(addable & -addable).bit_length() - 1]
         added.append(Brick(lo, hi))
         addable &= table.compatible(lo, hi)
     return IslandSystem(system.shape, system.bricks + tuple(added), cubic=system.cubic)

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import random
 import shlex
 import time
 from pathlib import Path
@@ -12,7 +14,8 @@ from islands.cli import build_parser, main
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
 from islands.verify import SKIPPED, Searcher, classification_rows, corollary_rows
-from islands import CapExceeded, IslandSystem, Shape, nested_min_system
+from islands import (CapExceeded, IslandSystem, Shape, contains, enumerate_bricks, max_elements,
+                     nested_min_system)
 
 from conftest import B
 
@@ -96,6 +99,19 @@ class TestCheck:
         report = json.loads(out)
         assert report["laminar"] is True
         assert report["maximal"] is False
+
+    GAPPED = '{"shape":[3,3],"cubic":false,"bricks":[[[0,0],[3,3]],[[0,0],[1,1]],[[2,2],[3,3]]]}'
+    GAPPED_SUMMARY = ('{"laminar":true,"maximal":false,"size":3,"max_elements":2,'
+                      '"gap_summary":{"edges":4,"gap_count":4,"max_gap_length":2}}\n')
+
+    def test_gap_summary_of_a_file_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "gapped.json"
+        path.write_text(self.GAPPED)
+        assert run(capsys, "check", str(path)) == (0, self.GAPPED_SUMMARY, "")
+
+    def test_gap_summary_from_stdin_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.GAPPED))
+        assert run(capsys, "check", "-") == (0, self.GAPPED_SUMMARY, "")
 
     def test_parse_failure(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -550,6 +566,51 @@ class TestVerify:
         ] + [(str(m), "onedim", 0, int(m == 3), "FAIL" if m == 3 else "PASS")
              for m in range(1, 7)]
         assert all(row["cubic"] is False for row in rows)
+
+    @pytest.mark.parametrize("dims, cells, expected", [
+        # a side of length 1: two corner vectors name one cell, and each counts it
+        ((1, 4), [((0, 0), (1, 1)), ((0, 2), (1, 3))], (2, 3, 1)),
+        ((2, 1, 3), [((0, 0, 0), (1, 1, 1)), ((1, 0, 2), (2, 1, 3))], (4, 10, 1)),
+    ])
+    def test_corner_counts_on_sides_of_length_one(self, monkeypatch, dims, cells, expected):
+        shape = Shape(dims)
+        system = IslandSystem(shape, [shape.full_brick()] + [B(lo, hi) for lo, hi in cells])
+        monkeypatch.setattr("islands.verify.enumerate_maximal_systems",
+                            lambda s, cap: iter([system] if s == shape else []))
+        rows = corollary_rows([shape])[:3]
+        assert [(row["mode"], row["actual"]) for row in rows] == list(
+            zip(("corners", "gaps", "restrict"), expected))
+
+    def test_corner_row_matches_a_scalar_count_over_arbitrary_families(self, monkeypatch):
+        def scalar_corners(system):
+            members = max_elements(system)
+            if len(members) <= 1:
+                return 0
+            dims = system.shape.dims
+            empty = 0
+            for corner in itertools.product((0, 1), repeat=len(dims)):
+                lo = tuple(0 if side == 0 else m - 1 for side, m in zip(corner, dims))
+                cell = B(lo, tuple(a + 1 for a in lo))
+                empty += not any(contains(member, cell) for member in members)
+            return empty
+
+        rng = random.Random(13)
+        shapes = [Shape(dims) for d in range(1, 4)
+                  for dims in itertools.product((1, 2, 3), repeat=d)]
+        shapes += [Shape((2, 1, 2, 2)), Shape((1, 2, 2, 1))]
+        nonzero = 0
+        for _ in range(20):
+            for shape in shapes:
+                universe = list(enumerate_bricks(shape))
+                # not laminar in general, and the full brick only sometimes
+                bricks = rng.sample(universe, rng.randint(0, min(8, len(universe))))
+                system = IslandSystem(shape, bricks + [shape.full_brick()] * rng.randint(0, 1))
+                monkeypatch.setattr("islands.verify.enumerate_maximal_systems",
+                                    lambda s, cap: iter([system] if s == shape else []))
+                (row,) = [r for r in corollary_rows([shape]) if r["mode"] == "corners"]
+                assert row["actual"] == scalar_corners(system), system
+                nonzero += row["actual"] > 0
+        assert nonzero > 100
 
     def test_corollary_sweep_output_is_pinned(self, capsys):
         # sha256 of the rows as the scalar restrict/is_maximal check printed them

@@ -64,6 +64,10 @@ class TestSegmentSystems:
         for intervals in maximal_segment_systems(m):
             assert len(intervals) == m
 
+    def test_an_empty_segment_is_refused(self):
+        with pytest.raises(ValueError, match="segment length must be positive"):
+            maximal_segment_systems(0)
+
 
 class TestMinimalMaximalSystems:
     def test_2x1_exact_family(self):

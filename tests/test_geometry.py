@@ -97,6 +97,17 @@ class TestPredicates:
         with pytest.raises(DimensionMismatch):
             compatible(B((0,), (1,)), B((0, 0), (1, 1)))
 
+    @pytest.mark.parametrize("call", [
+        lambda: B((0, 0), (1, 1)).translate((1,)),
+        lambda: B((0,), (1,)).translate((1, 2)),
+        lambda: transform_brick(B((0, 0), (1, 2)), Shape((3,)), (0,), (True,)),
+        lambda: canonical_bricks(Shape((3,)), [B((0, 0), (1, 2))]),
+    ], ids=["short-offset", "long-offset", "transform", "canonical"])
+    def test_moving_a_brick_across_dimensions_is_a_mismatch(self, call):
+        # zip would drop the extra axes and return a brick of the wrong dimension
+        with pytest.raises(DimensionMismatch):
+            call()
+
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (3, 3), (2, 2, 2)])
     def test_order_and_symmetry_properties(self, dims):
         bricks = list(enumerate_bricks(Shape(dims)))
