@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -53,7 +54,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="islands",
         description="Construct, check and search systems of brick and cubic islands.",
@@ -67,9 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="cube side (nested-cubes)")
     p.add_argument("--k", type=int, help="subdivision depth (subdivision)")
     p.add_argument("--output", "-o", help="write to this path instead of stdout")
+    p.set_defaults(run=cmd_construct)
 
     p = sub.add_parser("check", help="validate a system JSON file")
     p.add_argument("path", help="system file, or - for stdin")
+    p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("search", help="compute an extremal maximal-system size")
     p.add_argument("--shape", type=_parse_shape, required=True)
@@ -80,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-cap", type=_positive_int, default=DEFAULT_NODE_CAP)
     p.add_argument("--cache", default=None, help="results cache path (JSON lines)")
     p.add_argument("--no-cache", action="store_true")
+    p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("verify", help="sweep a claim suite and print a pass/fail table")
     p.add_argument("suite", choices=["theorem1", "theorem2", "theorem3",
@@ -94,24 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--output", "-o", help="write the table to this path instead of stdout")
+    p.set_defaults(run=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exit_:
         return EXIT_USAGE if exit_.code else EXIT_OK
-    handler = {
-        "construct": cmd_construct,
-        "check": cmd_check,
-        "search": cmd_search,
-        "verify": cmd_verify,
-    }[args.command]
     try:
-        return handler(args)
+        return args.run(args)
     except CapExceeded as exc:
         print(
             dumps_canonical({
@@ -135,6 +135,12 @@ def _emit(lines: list[str], output: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _searcher(args, **caps) -> sweeps.Searcher:
+    """The Searcher that ``--engine``, ``--cache`` and ``--no-cache`` ask for."""
+    cache_path = None if args.no_cache else resolve_cache_path(args.cache)
+    return sweeps.Searcher(engine=args.engine, cache_path=cache_path, **caps)
 
 
 def cmd_construct(args) -> int:
@@ -198,9 +204,7 @@ def cmd_search(args) -> int:
     shape = args.shape
     if args.cubic and not shape.is_cube:
         raise ValueError(f"cubic mode requires equal sides, got {shape}")
-    cache_path = None if args.no_cache else resolve_cache_path(args.cache)
-    searcher = sweeps.Searcher(engine=args.engine, cache_path=cache_path,
-                               brick_count_cap=args.brick_cap, node_cap=args.node_cap)
+    searcher = _searcher(args, brick_count_cap=args.brick_cap, node_cap=args.node_cap)
     print(dumps_canonical(report_to_dict(searcher.report(shape, args.mode, args.cubic))))
     return EXIT_OK
 
@@ -208,8 +212,7 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     if args.shape and args.suite not in ("classification", "corollaries"):
         raise ValueError(f"--shape applies to classification and corollaries, not {args.suite}")
-    cache_path = None if args.no_cache else resolve_cache_path(args.cache)
-    searcher = sweeps.Searcher(engine=args.engine, cache_path=cache_path)
+    searcher = _searcher(args)
     if args.suite == "theorem1":
         rows = sweeps.theorem1_rows(searcher, args.max_dim, args.max_side)
     elif args.suite == "theorem2":

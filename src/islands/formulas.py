@@ -8,6 +8,7 @@ comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,18 +64,11 @@ def max_brick_system_bounds(shape: Shape) -> BoundPair:
     of :func:`max_rect_system_size` lies between the two.
     """
     dims = shape.dims
-    d = len(dims)
-    product = 1
-    for m in dims:
-        product *= m
-    cofactor_sum = sum(product // m for m in dims)
-    upper_product = 1
-    for m in dims:
-        upper_product *= m + 1
-    scale = 2 ** (d - 1)
+    product = math.prod(dims)
+    scale = 2 ** (len(dims) - 1)
     return BoundPair(
-        lower=Fraction(product + cofactor_sum, scale) - 1,
-        upper=Fraction(upper_product, scale) - 1,
+        lower=Fraction(product + sum(product // m for m in dims), scale) - 1,
+        upper=Fraction(math.prod(m + 1 for m in dims), scale) - 1,
     )
 
 

@@ -52,8 +52,8 @@ DEFAULT_NODE_CAP = 10 ** 8
 class SearchConfig:
     """Knobs for one search run: what to optimize, and the caps.
 
-    ``brick_count_cap`` of ``None`` means the engine default (200 for the
-    front engine, 40 for the flat one).  Exceeding any cap raises
+    ``brick_count_cap`` of ``None`` means the engine's default cap, its
+    entry in :data:`ENGINES`.  Exceeding any cap raises
     :class:`~islands.errors.CapExceeded`; nothing is ever silently truncated.
     The front engine always memoizes by the sorted side lengths.
     """

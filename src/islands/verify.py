@@ -100,11 +100,13 @@ def _search_rows(searcher: Searcher, cubic: bool, mode: str, cases, passes=None)
 
 def canonical_shapes(max_dim: int, max_side: int) -> list[Shape]:
     """All shapes with non-increasing sides, one per symmetry class."""
-    shapes = []
-    for d in range(1, max_dim + 1):
-        for dims in itertools.combinations_with_replacement(range(max_side, 0, -1), d):
-            shapes.append(Shape(dims))
-    return shapes
+    return [Shape(dims) for d in range(1, max_dim + 1)
+            for dims in itertools.combinations_with_replacement(range(max_side, 0, -1), d)]
+
+
+def _cube_shapes(max_dim: int, max_side: int) -> list[Shape]:
+    """The m-cubes with 1 <= d <= max_dim and 1 <= m <= max_side, by dimension."""
+    return [Shape((m,) * d) for d in range(1, max_dim + 1) for m in range(1, max_side + 1)]
 
 
 def theorem1_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]:
@@ -115,8 +117,8 @@ def theorem1_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]
 
 def theorem2_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]:
     """Minimum maximal cubic-system size in an m-cube equals m."""
-    cubes = [Shape((m,) * d) for d in range(1, max_dim + 1) for m in range(1, max_side + 1)]
-    return _search_rows(searcher, True, "min", ((s, s.dims[0]) for s in cubes))
+    cases = ((s, s.dims[0]) for s in _cube_shapes(max_dim, max_side))
+    return _search_rows(searcher, True, "min", cases)
 
 
 def theorem3_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]:
@@ -131,8 +133,8 @@ def theorem3_rows(searcher: Searcher, max_dim: int, max_side: int) -> list[dict]
         tight = (m + 1) & m == 0  # m + 1 is a power of two
         return actual <= bound and (not tight or actual == bound)
 
-    cubes = [Shape((m,) * d) for d in range(1, max_dim + 1) for m in range(1, max_side + 1)]
-    cases = ((s, int(max_cube_system_bound(s.ndim, s.dims[0]))) for s in cubes)
+    cases = ((s, int(max_cube_system_bound(s.ndim, s.dims[0])))
+             for s in _cube_shapes(max_dim, max_side))
     return _search_rows(searcher, True, "max", cases, passes)
 
 

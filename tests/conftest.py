@@ -1,6 +1,17 @@
+import os
+from pathlib import Path
+
 from hypothesis import strategies as st
 
 from islands import Brick, IslandSystem, Shape, compatible, enumerate_bricks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports ``islands`` from ``src``."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
 
 
 def B(lo, hi) -> Brick:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -5,6 +6,8 @@ import itertools
 import json
 import random
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from islands.verify import SKIPPED, Searcher, classification_rows, corollary_row
 from islands import (CapExceeded, IslandSystem, Shape, contains, enumerate_bricks, max_elements,
                      nested_min_system)
 
-from conftest import B
+from conftest import B, child_env
 
 
 def run(capsys, *argv):
@@ -438,6 +441,43 @@ class TestCacheRows:
         assert len(cache.read_text().strip().splitlines()) == 2
 
 
+# Appends 400 rows of about 1.5 KB, each padded with the writer's tag, once
+# the parent closes its stdin.
+CACHE_WRITER = """
+import sys
+from islands.serialize import cache_append
+path, tag = sys.argv[1:]
+print("ready", flush=True)
+sys.stdin.read()
+for row in range(400):
+    cache_append(path, {"writer": tag, "row": row}, {"pad": tag * 1500})
+"""
+
+
+def test_concurrent_appends_keep_every_row_whole(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    writers = [subprocess.Popen([sys.executable, "-c", CACHE_WRITER, str(cache), tag],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                                env=child_env())
+               for tag in "ab"]
+    try:
+        assert [writer.stdout.readline() for writer in writers] == ["ready\n"] * 2
+        for writer in writers:  # the barrier: both start appending together
+            writer.stdin.close()
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+    finally:
+        for writer in writers:
+            writer.kill()
+            writer.wait()
+            writer.stdout.close()
+    rows = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert len(rows) == 800
+    for tag in "ab":
+        mine = [row for row in rows if row["writer"] == tag]
+        assert [row["row"] for row in mine] == list(range(400))
+        assert all(row["report"] == {"pad": tag * 1500} for row in mine)
+
+
 class TestCapsBeforeCache:
     """A cached row may change how fast a search returns, never its outcome."""
 
@@ -701,6 +741,47 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestOneParser:
+    """In-process callers of main share one parser; the environment is read per call."""
+
+    def test_a_second_call_builds_no_parser(self, capsys, monkeypatch):
+        assert run(capsys, "search", "--shape", "2,2", "--no-cache")[0] == 0
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
+        assert (code, json.loads(out)["value"], built) == (0, 3, [])
+        assert build_parser() is build_parser()
+
+    def test_cache_path_from_the_environment_is_read_per_call(self, capsys, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        monkeypatch.setenv("ISLANDS_CACHE", str(first))
+        assert run(capsys, "search", "--shape", "2,2")[0] == 0
+        monkeypatch.setenv("ISLANDS_CACHE", str(second))
+        assert run(capsys, "search", "--shape", "2,2")[0] == 0
+        assert [len(path.read_text().splitlines()) for path in (first, second)] == [1, 1]
+
+
+@pytest.mark.parametrize("argv,code,value", [
+    (["search", "--shape", "2,2", "--no-cache"], 0, 3),
+    (["search", "--shape", "2,x"], 2, None),
+])
+def test_module_entry_point(tmp_path, argv, code, value):
+    done = subprocess.run([sys.executable, "-m", "islands.cli", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=child_env(), timeout=60)
+    assert done.returncode == code
+    if value is None:
+        assert done.stdout == "" and "bad shape" in done.stderr
+    else:
+        assert (json.loads(done.stdout)["value"], done.stderr) == (value, "")
 
 
 def test_readme_cli_lines_parse():

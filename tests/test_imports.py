@@ -1,7 +1,11 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "islands").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -90,3 +94,28 @@ def test_the_guard_sees_a_dead_private_name():
                           "x = _helper()\nx._dead = 3\n"),
     }
     assert dead_private_names(trees) == ["a.py: _dead (line 3)", "b.py: _Gone (line 2)"]
+
+
+def fresh_python(code: str) -> str:
+    """What ``code`` prints when run by a new interpreter."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=child_env(), timeout=60).stdout
+
+
+def test_importing_the_package_loads_no_command_line():
+    loaded = fresh_python("import sys, islands\n"
+                          "print(sorted({'argparse', 'islands.cli'} & set(sys.modules)))")
+    assert loaded == "[]\n"
+
+
+def test_importing_the_command_line_builds_no_parser():
+    # the parser is built on the first main() call, so an import stays cheap
+    built = fresh_python("import argparse\n"
+                         "built, init = [], argparse.ArgumentParser.__init__\n"
+                         "def counting(self, *args, **kwargs):\n"
+                         "    built.append(kwargs.get('prog'))\n"
+                         "    init(self, *args, **kwargs)\n"
+                         "argparse.ArgumentParser.__init__ = counting\n"
+                         "import islands.cli\n"
+                         "print(built)\n")
+    assert built == "[]\n"
