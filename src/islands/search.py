@@ -274,10 +274,11 @@ class _FrontEngine:
       disjoint closed bricks share no lattice point, so the members to come
       hold at most that many points, at ``num/den``, the largest gain per
       lattice point, each.
-    * min prunes when ``partial + least >= best``, or when the unit cells
-      disjoint from every member are more than ``(best − 1 − partial)·a/b``:
-      a saturated front takes or meets each such cell, and one member meets at
-      most ``a/b`` cells per unit of gain.
+    * min prunes when more unit cells than ``(best − 1 − partial)·a/b`` are
+      disjoint from every member: a saturated front takes or meets each such
+      cell, and one member meets at most ``a/b`` cells per unit of gain.  A
+      unit cell is worth 1, a nonempty ``allowed`` holds one, and ``a, b >= 1``,
+      so this fires whenever ``partial + min(gain) >= best``.
 
     ``{j}`` alone is a saturated front iff ``keep[j] == 0``, and the walk meets
     it, so the incumbent starts one short of the best such gain.  Only fronts
@@ -311,16 +312,13 @@ class _FrontEngine:
         singles = [g for g, k in zip(gain, region.keep) if k == 0]
         if self.minimizing:
             best = min(singles, default=sum(gain)) + 1
-            least = min(gain, default=0)
-            unit = (1,) * len(dims)
-            cells = sum(1 << j for j, sides in enumerate(region.sides) if sides == unit)
+            cells = sum(1 << j for j, sides in enumerate(region.sides) if max(sides) == 1)
             # the most unit cells per unit of gain that one member meets or is
             a, b = _largest_ratio(((cells & ~apart).bit_count(), g)
                                   for g, apart in zip(gain, region.disj))
 
             def prune(partial: int, allowed: int, free: int, start: int) -> bool:
-                return (partial + least >= best
-                        or (allowed & cells).bit_count() * b > (best - 1 - partial) * a)
+                return (allowed & cells).bit_count() * b > (best - 1 - partial) * a
         else:
             best = max(singles, default=0) - 1
             reach = region.reach
@@ -352,7 +350,7 @@ class _FrontEngine:
 
 
 def _largest_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The largest ``p/q`` over pairs with ``q > 0``, as ``(p, q)``; ``(0, 1)`` if none."""
+    """The largest ``p/q`` as ``(p, q)``, ``(0, 1)`` if none; every ``q`` must be 1 or more."""
     num, den = 0, 1
     for p, q in pairs:
         if p * den > num * q:

@@ -7,6 +7,7 @@ byte-identical, which keeps cached and freshly computed output diffable.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from typing import Any
@@ -136,11 +137,12 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:
-    """Append one row with one ``os.write``, after a newline if the file ends
-    in a torn line, so a killed writer's fragment never swallows the row."""
+    """Append one row with one locked ``os.write``, after a newline if the file
+    ends in a torn line, so a killed writer's fragment never swallows the row."""
     row = (dumps_canonical(dict(key, report=report)) + "\n").encode()
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # no other appender's row looks torn; close unlocks
         end = os.fstat(fd).st_size
         os.write(fd, row if end == 0 or os.pread(fd, 1, end - 1) == b"\n" else b"\n" + row)
     finally:

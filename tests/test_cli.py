@@ -681,6 +681,23 @@ class TestVerify:
                          "--max-side", "5", "--strict", "--no-cache")
         assert code == 1
 
+    def test_flat_engine_prints_the_front_engine_table(self, capsys):
+        sweep = ("verify", "theorem1", "--no-cache")
+        front = run(capsys, *sweep, "--engine", "front")
+        assert front[0] == 0
+        assert run(capsys, *sweep, "--engine", "flat") == front
+
+    def test_flat_engine_skips_shapes_over_its_brick_cap(self, capsys):
+        # 4,4 (100 bricks) and 4,3 (60) are over the flat cap of 40; 4,2 (30) is not
+        sweep = ("verify", "theorem1", "--engine", "flat", "--max-side", "4", "--no-cache")
+        code, out, _ = run(capsys, *sweep)
+        assert code == 0
+        status = {row["shape"]: row["status"] for row in csv.DictReader(io.StringIO(out))}
+        assert {shape: s for shape, s in status.items() if s != "PASS"} == {
+            "4,4": "SKIPPED", "4,3": "SKIPPED"}
+        assert status["4,2"] == "PASS"
+        assert run(capsys, *sweep, "--strict")[0] == 1
+
     def test_output_file_replaces_stdout(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         argv = ("verify", "theorem1", "--max-dim", "2", "--max-side", "1", "--no-cache")

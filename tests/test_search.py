@@ -468,6 +468,10 @@ def test_computed_values_respect_the_closed_form_bounds():
         (extremal_size, (3, 3, 3), "max", True, ("4", 9, 109, 1)),
         (flat_extremal_size, (3, 3), "max", False, ("4", 7, 393, 0)),
         (flat_extremal_size, (2, 2, 2), "min", False, ("4", 4, 169, 0)),
+        (extremal_size, (5, 4), "min", False, ("4", 8, 24694, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("4", 7, 10539, 100)),
+        (extremal_size, (7, 7), "min", True, ("4", 7, 8829, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("4", 4, 293, 3)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
