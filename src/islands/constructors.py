@@ -2,10 +2,10 @@
 
 Each generator returns (or yields) concrete witness systems: the nested
 chain that attains the minimum size in a cuboid, the complete family of
-minimum-size maximal systems, the nested-cube chain, and the recursive
-subdivision that attains the cubic maximum when the side is one less than
-a power of two.  Maximality of every output is asserted by the test suite
-rather than assumed here.
+minimum-size maximal systems (each built once, from its innermost seed), the
+nested-cube chain, and the recursive subdivision that attains the cubic
+maximum when the side is one less than a power of two.  Maximality of every
+output is asserted by the test suite rather than assumed here.
 """
 
 from __future__ import annotations
@@ -66,33 +66,30 @@ def maximal_segment_systems(m: int) -> tuple[frozenset[Interval], ...]:
 def minimal_maximal_systems(shape: Shape) -> Iterator[IslandSystem]:
     """All minimum-size maximal systems of the shape, each exactly once.
 
-    Every such system is assembled from three choices: a segment-like seed
-    brick (unit cross-section, length r along one axis), a maximal filling
-    of the seed by r nested-or-split intervals, and a chain of unit
-    extensions growing the seed to the full box.  Different choices can
-    produce the same brick set, so results are deduplicated by literal
-    brick-set equality before being yielded.
+    A system is a seed brick B (unit cross-section, length r on one axis), a
+    maximal filling of B by r intervals, and a chain of unit steps growing B
+    to the box.  Bricks outside a seed contain it, so the seeds of a system
+    are nested; a seed inside B is a cell or runs along B's axis, and its
+    chain to B leaves an interval of length r - 1 in B's filling.  So only
+    the innermost seed is taken: a cell (on axis 0), or a seed whose filling
+    is split, with no interval of length r - 1 (none has r = 2).  The loops
+    meet it before any outer seed, cells first and then smaller r on an axis,
+    so each system comes where it first appears over all seeds.
     """
     dims = shape.dims
     d = len(dims)
-    seen: set[frozenset[Brick]] = set()
     for axis in range(d):
-        for r in range(1, dims[axis] + 1):
-            if r == 1 and axis > 0:
-                continue  # an elementary seed is the same brick for every axis
+        for r in range(1 if axis == 0 else 2, dims[axis] + 1):
+            split = [s for s in maximal_segment_systems(r) if all(b - a != r - 1 for a, b in s)]
+            if not split:
+                continue  # r == 2: both fillings hold a cell, the innermost seed
             extents = tuple(r if j == axis else 1 for j in range(d))
             for lo in itertools.product(*(range(m - e + 1) for m, e in zip(dims, extents))):
                 seed = Brick(lo, tuple(a + e for a, e in zip(lo, extents)))
-                fillings = [
-                    frozenset(_embed_interval(iv, seed, axis) for iv in segment)
-                    for segment in maximal_segment_systems(r)
-                ]
+                fillings = [frozenset(_embed_interval(iv, seed, axis) for iv in s) for s in split]
                 for chain in _unit_extension_chains(seed, shape):
                     for filling in fillings:
-                        bricks = filling | chain
-                        if bricks not in seen:
-                            seen.add(bricks)
-                            yield IslandSystem(shape, bricks)
+                        yield IslandSystem(shape, filling | chain)
 
 
 def _embed_interval(interval: Interval, seed: Brick, axis: int) -> Brick:

@@ -155,14 +155,15 @@ def classification_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
 
     Comparison is by literal sorted brick lists, not up to symmetry.  The
     expected column holds the generator's count, the actual column the
-    oracle's; the status reflects full set equality.
+    oracle's; the status reflects full set equality and no repeated system.
     """
     rows = []
     for shape in shapes:
         expected_size = min_brick_system_size(shape)
         try:
             oracle = enumerate_maximal_systems(shape, cap=cap)  # checks the cap first
-            generated = {system.bricks for system in minimal_maximal_systems(shape)}
+            listed = [system.bricks for system in minimal_maximal_systems(shape)]
+            generated = set(listed)
             smallest: set[tuple[Brick, ...]] = set()
             best = None
             for system in oracle:
@@ -174,7 +175,8 @@ def classification_rows(shapes: list[Shape], cap: int = 60) -> list[dict]:
         except CapExceeded:
             rows.append(_row(shape, False, "classification", "", "", SKIPPED))
             continue
-        ok = best == expected_size and generated == smallest  # hence all generated of size best
+        # hence all generated of size best, and each once
+        ok = best == expected_size and generated == smallest and len(listed) == len(generated)
         rows.append(
             _row(shape, False, "classification", len(generated), len(smallest),
                  PASS if ok else FAIL)

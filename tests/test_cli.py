@@ -18,7 +18,7 @@ from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
 from islands.verify import SKIPPED, Searcher, classification_rows, corollary_rows
 from islands import (CapExceeded, IslandSystem, Shape, contains, enumerate_bricks, max_elements,
-                     nested_min_system)
+                     minimal_maximal_systems, nested_min_system)
 
 from conftest import B, child_env
 
@@ -56,6 +56,23 @@ class TestConstruct:
         assert len(lines) == 2
         for line in lines:
             assert len(json.loads(line)["bricks"]) == 2
+
+    # line count and sha256 of stdout: the order and bytes of the family are part of the format
+    FAMILY_DIGESTS = {
+        "4,3": (368, "b9a6c40c83591a3eac8e12e1a5a6c3b0949e836516f2648aa02d032c9c66dc30"),
+        "3,4": (368, "adebad7426e2c9f8c7ce96b774b388e06f843bec4806f158193bca8d0a38fd4d"),
+        "2,2,2": (48, "c852e4ac0ca1d6cbf59bf2bb736ebe6bc63aa26fdccd5926b5cfba80d9981bd3"),
+        "3,1,2": (26, "5a45f9fe798c5442930dabad03e02862beba181fcc8e842018a4f02f610b34f8"),
+        "5,2": (244, "7d1f1230926691d68446071bd4119de3410563f2189906dbbb919b6ebf57e697"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(FAMILY_DIGESTS))
+    def test_minimal_family_order_and_bytes_are_pinned(self, capsys, shape):
+        code, out, _ = run(capsys, "construct", "minimal-family", "--shape", shape)
+        assert code == 0
+        lines, digest = self.FAMILY_DIGESTS[shape]
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_parameters(self, capsys):
         code, _, err = run(capsys, "construct", "nested-min")
@@ -563,6 +580,16 @@ class TestVerify:
         (row,) = list(csv.DictReader(io.StringIO(out)))
         assert row["expected"] == row["actual"] == "8"
         assert row["status"] == "PASS"
+
+    def test_classification_fails_a_generator_that_repeats_a_system(self, monkeypatch):
+        def twice(shape):
+            for system in minimal_maximal_systems(shape):
+                yield system
+                yield system
+
+        monkeypatch.setattr("islands.verify.minimal_maximal_systems", twice)
+        (row,) = classification_rows([Shape((2, 2))])
+        assert (row["expected"], row["actual"], row["status"]) == (8, 8, "FAIL")
 
     def test_classification_checks_the_cap_before_generating(self):
         (row,) = classification_rows([Shape((9, 9))])

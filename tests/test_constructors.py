@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from islands import (
@@ -84,7 +86,7 @@ class TestMinimalMaximalSystems:
         everything = {system.bricks for system in enumerate_maximal_systems(Shape((m,)))}
         assert got == everything
 
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 2, 2), (4, 3), (3, 1, 2), (2, 2, 2, 2)])
     def test_outputs_are_distinct_minimal_and_maximal(self, dims):
         shape = Shape(dims)
         expected = min_brick_system_size(shape)
@@ -97,6 +99,19 @@ class TestMinimalMaximalSystems:
 
     def test_2x2_count(self):
         assert sum(1 for _ in minimal_maximal_systems(Shape((2, 2)))) == 8
+
+    def test_stream_memory_does_not_grow_with_its_output(self):
+        # 1,224 systems; a set of the yielded systems alone would trace over 1 MB
+        for m in range(1, 6):
+            maximal_segment_systems(m)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in minimal_maximal_systems(Shape((5, 3))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1224
+        assert peak < 500_000
 
 
 class TestNestedCubes:
