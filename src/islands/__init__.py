@@ -54,7 +54,6 @@ from .system import (
     addable_bricks,
     canonical_form,
     gap_profiles,
-    greedy_complete,
     is_laminar,
     is_maximal,
     max_elements,
@@ -92,7 +91,6 @@ __all__ = [
     "flat_extremal_size",
     "front_is_saturated",
     "gap_profiles",
-    "greedy_complete",
     "is_laminar",
     "is_maximal",
     "max_brick_system_bounds",

@@ -11,7 +11,9 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
+from typing import Iterable
 
 from .constructors import (
     minimal_maximal_systems,
@@ -128,13 +130,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(lines: Iterable[str], output: str | None) -> None:
+    """Write each line to ``output``, or to stdout, as it is made.
+
+    A reader that closes stdout early ends the writing quietly: stdout is
+    pointed at ``os.devnull``, so the flush at interpreter exit cannot fail
+    either, and the command's own exit code stands.
+    """
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            handle.writelines(line + "\n" for line in lines)
+        return
+    try:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _searcher(args, **caps) -> sweeps.Searcher:
@@ -151,17 +164,14 @@ def cmd_construct(args) -> int:
         return value
 
     if args.kind == "nested-min":
-        lines = [dumps_canonical(system_to_dict(nested_min_system(need("shape"))))]
+        systems = [nested_min_system(need("shape"))]
     elif args.kind == "minimal-family":
-        lines = [
-            dumps_canonical(system_to_dict(system))
-            for system in minimal_maximal_systems(need("shape"))
-        ]
+        systems = minimal_maximal_systems(need("shape"))  # lazy: written as it is made
     elif args.kind == "nested-cubes":
-        lines = [dumps_canonical(system_to_dict(nested_cubes(need("d"), need("m"))))]
+        systems = [nested_cubes(need("d"), need("m"))]
     else:
-        lines = [dumps_canonical(system_to_dict(subdivision_system(need("d"), need("k"))))]
-    _emit(lines, args.output)
+        systems = [subdivision_system(need("d"), need("k"))]
+    _emit((dumps_canonical(system_to_dict(system)) for system in systems), args.output)
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ disjoint, and *maximal* when no further brick (cube, in cubic mode) can be
 added without breaking that condition.  This module holds the container
 type plus the predicates and editing operations the rest of the library is
 built on: maximal members, addability, restriction to a member brick,
-greedy completion, and edge-gap profiling.
+and edge-gap profiling.
 """
 
 from __future__ import annotations
@@ -107,15 +107,15 @@ def _universe_masks(shape: Shape, cubic: bool) -> IntervalMasks:
     return IntervalMasks(shape, brick_corners(shape, cubic))
 
 
-def _addable_mask(system: IslandSystem) -> tuple[IntervalMasks, int]:
-    """The universe's masks and its addable bricks' mask."""
+def _addable_mask(system: IslandSystem) -> int:
+    """The mask of the universe's addable bricks."""
     table = _universe_masks(system.shape, system.cubic)
     addable = table.all
     for member in system.bricks:
         if not addable:
             break
         addable &= table.compatible(member.lo, member.hi)
-    return table, addable
+    return addable
 
 
 def addable_bricks(system: IslandSystem) -> list[Brick]:
@@ -123,9 +123,8 @@ def addable_bricks(system: IslandSystem) -> list[Brick]:
 
     Cubic systems only admit cubes.  An empty result is exactly maximality.
     """
-    _, addable = _addable_mask(system)
     universe = list(brick_corners(system.shape, system.cubic))
-    return [Brick(lo, hi) for lo, hi in mask_members(addable, universe)]
+    return [Brick(lo, hi) for lo, hi in mask_members(_addable_mask(system), universe)]
 
 
 def is_maximal(system: IslandSystem) -> bool:
@@ -137,7 +136,7 @@ def is_maximal(system: IslandSystem) -> bool:
     0.5 MB for ``5x5x5x5``, n = 50625); the universe itself is never held.
     The masks of the 64 most recent ``(shape, cubic)`` pairs are kept.
     """
-    return _addable_mask(system)[1] == 0
+    return _addable_mask(system) == 0
 
 
 def restrict(system: IslandSystem, region: Brick) -> IslandSystem:
@@ -182,24 +181,6 @@ def non_maximal_restrictions(system: IslandSystem) -> list[Brick]:
         if addable:
             bad.append(b)
     return bad
-
-
-def greedy_complete(system: IslandSystem) -> IslandSystem:
-    """Extend to a maximal system by repeatedly adding the least addable brick.
-
-    Deterministic by the lexicographic tie-break; a maximal input is returned
-    unchanged.  Each step adds the brick of the addable mask's lowest bit,
-    read off the listed universe as in :func:`addable_bricks`, and ANDs in
-    that brick's compatibility row.
-    """
-    table, addable = _addable_mask(system)
-    universe = list(brick_corners(system.shape, system.cubic))
-    added = []
-    while addable:
-        lo, hi = universe[(addable & -addable).bit_length() - 1]
-        added.append(Brick(lo, hi))
-        addable &= table.compatible(lo, hi)
-    return IslandSystem(system.shape, system.bricks + tuple(added), cubic=system.cubic)
 
 
 def canonical_form(system: IslandSystem) -> IslandSystem:

@@ -4,11 +4,13 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,9 @@ import pytest
 from islands.cli import build_parser, main
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
-from islands.verify import SKIPPED, Searcher, classification_rows, corollary_rows
+from islands.verify import FAIL, SKIPPED, Searcher, classification_rows, corollary_rows
 from islands import (CapExceeded, IslandSystem, Shape, contains, enumerate_bricks, max_elements,
-                     minimal_maximal_systems, nested_min_system)
+                     maximal_segment_systems, minimal_maximal_systems, nested_min_system)
 
 from conftest import B, child_env
 
@@ -86,6 +88,53 @@ class TestConstruct:
         assert code == 0
         assert out == ""
         assert len(json.loads(target.read_text())["bricks"]) == 4
+
+    def test_missing_shape_fails_before_the_output_is_opened(self, capsys, tmp_path):
+        target = tmp_path / "family.jsonl"
+        code, _, err = run(capsys, "construct", "minimal-family", "--output", str(target))
+        assert (code, target.exists()) == (2, False)
+        assert "shape" in err
+
+    def test_construct_holds_no_copy_of_its_output(self, tmp_path):
+        # each line is written as it is made: a list of the 5,392 lines and their
+        # join would trace about 2.7 MB
+        for m in range(1, 6):
+            maximal_segment_systems(m)
+        build_parser()
+        target = tmp_path / "family.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["construct", "minimal-family", "--shape", "5,4", "--output", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = target.read_bytes()
+        assert (code, data.count(b"\n")) == (0, 5392)
+        assert hashlib.sha256(data).hexdigest() == (
+            "4deec24e7fe868af4058e8e6f3a69d5d1f84d7d14bdb4c840d086717bfe3dab2")
+        assert peak < 500_000
+
+    def test_a_closed_stdout_ends_construct_quietly(self, tmp_path):
+        # as with `islands construct ... | head -c 100`: the reader leaves after 100 bytes
+        child = subprocess.Popen(
+            [sys.executable, "-m", "islands.cli", "construct", "minimal-family", "--shape", "5,5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=child_env())
+        head = child.stdout.read(100)
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert (len(head), child.returncode, err) == (100, 0, b"")
+
+    def test_a_closed_stdout_keeps_the_exit_code(self, monkeypatch):
+        # a verify table with a FAIL row still exits 1 when its reader has gone
+        read, write = os.pipe()
+        os.close(read)
+        monkeypatch.setattr("islands.verify.classification_rows",
+                            lambda shapes: [{"status": FAIL}])
+        with open(write, "w", encoding="utf-8") as closed:
+            monkeypatch.setattr("sys.stdout", closed)
+            assert main(["verify", "classification"]) == 1
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+            monkeypatch.undo()
 
 
 class TestCheck:

@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,17 @@ def test_the_guard_sees_a_dead_private_name():
                           "x = _helper()\nx._dead = 3\n"),
     }
     assert dead_private_names(trees) == ["a.py: _dead (line 3)", "b.py: _Gone (line 2)"]
+
+
+def test_the_export_list_names_every_public_binding():
+    # islands/__init__.py imports each public name and lists it again in __all__
+    import islands
+    public = {name for name, value in vars(islands).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(islands.__all__) == sorted(public)
+    star = {}
+    exec("from islands import *", star)
+    assert set(star) - {"__builtins__"} == public
 
 
 def fresh_python(code: str) -> str:

@@ -15,7 +15,6 @@ from islands import (
     enumerate_bricks,
     enumerate_maximal_systems,
     gap_profiles,
-    greedy_complete,
     is_laminar,
     is_maximal,
     max_elements,
@@ -174,7 +173,6 @@ class TestAgainstScalarScan:
     @given(st.one_of(laminar_systems(), laminar_systems(cubic=True)))
     def test_masks_match_the_scalar_scan(self, system):
         completed = scalar_greedy(system)
-        assert greedy_complete(system) == completed
         for case in (system, completed):
             expected = scalar_addable(case)
             assert addable_bricks(case) == expected
@@ -258,28 +256,6 @@ class TestNonMaximalRestrictions:
                 flagged += bool(bad)
                 total += 1
         assert 0 < flagged < total
-
-
-class TestGreedyComplete:
-    def test_fixed_point_on_maximal(self):
-        system = nested_min_system(Shape((3, 2)))
-        assert greedy_complete(system) == system
-
-    def test_empty_segment_one(self):
-        shape = Shape((1,))
-        done = greedy_complete(IslandSystem(shape, []))
-        assert done.bricks == (B((0,), (1,)),)
-
-    def test_empty_segment_two_takes_lexicographic_least(self):
-        done = greedy_complete(IslandSystem(Shape((2,)), []))
-        assert done.bricks == (B((0,), (1,)), B((0,), (2,)))
-
-    @settings(max_examples=40)
-    @given(laminar_systems())
-    def test_output_is_maximal_and_contains_input(self, system):
-        done = greedy_complete(system)
-        assert is_maximal(done)
-        assert set(system.bricks) <= set(done.bricks)
 
 
 class TestGapProfiles:
