@@ -19,10 +19,7 @@ from .formulas import (
     max_brick_system_bounds,
     max_cube_system_bound,
     max_rect_system_size,
-    max_square_system_bound,
     min_brick_system_size,
-    min_square_system_size,
-    subdivision_size,
 )
 from .geometry import (
     Brick,
@@ -97,17 +94,14 @@ __all__ = [
     "max_cube_system_bound",
     "max_elements",
     "max_rect_system_size",
-    "max_square_system_bound",
     "maximal_segment_systems",
     "min_brick_system_size",
-    "min_square_system_size",
     "minimal_maximal_systems",
     "nested_cubes",
     "nested_min_system",
     "non_maximal_restrictions",
     "restrict",
     "shape_symmetries",
-    "subdivision_size",
     "subdivision_system",
     "transform_brick",
 ]

@@ -31,7 +31,7 @@ from .serialize import (
     system_from_dict,
     system_to_dict,
 )
-from .system import _edge_profiles, is_maximal, max_elements
+from .system import gap_profiles, is_laminar, is_maximal, max_elements
 from . import verify as sweeps
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def cmd_check(args) -> int:
         raise ValueError("malformed system document: nested too deeply") from None
     system = system_from_dict(data)
     check_brick_cap(system.shape, system.cubic, CHECK_BRICK_CAP)  # before any O(n²) scan
-    laminar = system.is_laminar
+    laminar = is_laminar(system.bricks)
     summary = {
         "laminar": laminar,
         "maximal": None,
@@ -197,7 +197,7 @@ def cmd_check(args) -> int:
     }
     if laminar:
         members = max_elements(system)
-        profiles = _edge_profiles(system.shape.dims, members)
+        profiles = gap_profiles(system.shape, members)
         gaps = [gap for profile in profiles for gap in profile.gaps]
         summary["maximal"] = is_maximal(system)
         summary["max_elements"] = len(members)
@@ -206,7 +206,7 @@ def cmd_check(args) -> int:
             "gap_count": len(gaps),
             "max_gap_length": max((gap.length for gap in gaps), default=0),
         }
-    print(dumps_canonical(summary))
+    _emit([dumps_canonical(summary)], None)
     return EXIT_OK if laminar else EXIT_VIOLATION
 
 
@@ -215,7 +215,8 @@ def cmd_search(args) -> int:
     if args.cubic and not shape.is_cube:
         raise ValueError(f"cubic mode requires equal sides, got {shape}")
     searcher = _searcher(args, brick_count_cap=args.brick_cap, node_cap=args.node_cap)
-    print(dumps_canonical(report_to_dict(searcher.report(shape, args.mode, args.cubic))))
+    report = searcher.report(shape, args.mode, args.cubic)
+    _emit([dumps_canonical(report_to_dict(report))], None)
     return EXIT_OK
 
 

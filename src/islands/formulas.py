@@ -41,21 +41,6 @@ def max_rect_system_size(m1: int, m2: int) -> int:
     return (m1 * m2 + m1 + m2 - 1) // 2
 
 
-def min_square_system_size(m: int) -> int:
-    """Minimum size of a maximal square system in an m x m square: m."""
-    _require_positive(m=m)
-    return m
-
-
-def max_square_system_bound(m: int) -> Fraction:
-    """Upper bound m(m+2)/3 on the size of a maximal square system.
-
-    Attained exactly when m is one less than a power of two.
-    """
-    _require_positive(m=m)
-    return Fraction(m * (m + 2), 3)
-
-
 def max_brick_system_bounds(shape: Shape) -> BoundPair:
     """The sandwich bounds on the maximum size of a maximal brick system.
 
@@ -75,23 +60,11 @@ def max_brick_system_bounds(shape: Shape) -> BoundPair:
 def max_cube_system_bound(d: int, m: int) -> Fraction:
     """Upper bound ((m+1)^d - 1) / (2^d - 1) on maximal cubic-system size.
 
-    Attained exactly when m is one less than a power of two; see
-    :func:`subdivision_size` for the matching construction size.
+    At d = 2 this is m(m+2)/3.  It is attained exactly when m = 2^k - 1, by
+    :func:`~islands.constructors.subdivision_system` of depth k.
     """
     _require_positive(d=d, m=m)
     return Fraction((m + 1) ** d - 1, 2 ** d - 1)
-
-
-def subdivision_size(d: int, k: int) -> int:
-    """Size (2^(kd) - 1) / (2^d - 1) of the recursive cube subdivision.
-
-    The division is a geometric series and always exact; a remainder would
-    be an internal error, not a caller mistake.
-    """
-    _require_positive(d=d, k=k)
-    quotient, remainder = divmod(2 ** (k * d) - 1, 2 ** d - 1)
-    assert remainder == 0, f"non-exact subdivision size for d={d}, k={k}"
-    return quotient
 
 
 def _require_positive(**values: int) -> None:

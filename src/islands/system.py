@@ -54,10 +54,6 @@ class IslandSystem:
     def __contains__(self, brick):
         return brick in self.bricks
 
-    @property
-    def is_laminar(self) -> bool:
-        return is_laminar(self.bricks)
-
 
 def _sorted_system(shape: Shape, bricks: Iterable[Brick], cubic: bool) -> IslandSystem:
     """An :class:`IslandSystem` built without the checks of its constructor.
@@ -226,18 +222,15 @@ class GapProfile:
     gaps: tuple[EdgeGap, ...]
 
 
-def gap_profiles(system: IslandSystem) -> list[GapProfile]:
+def gap_profiles(shape: Shape, members: list[Brick]) -> list[GapProfile]:
     """Edge coverage profiles for all ``d * 2^(d-1)`` edges of the box.
 
-    A maximal member covers a segment of an edge when it touches the chosen
-    face on every other axis; for a maximal system those segments are
+    ``members`` are the system's maximal members, as :func:`max_elements`
+    returns them.  A member covers a segment of an edge when it touches the
+    chosen face on every other axis; for a maximal system those segments are
     pairwise separated, and the reported gaps are what is left over.
     """
-    return _edge_profiles(system.shape.dims, max_elements(system))
-
-
-def _edge_profiles(dims: tuple[int, ...], members: list[Brick]) -> list[GapProfile]:
-    """:func:`gap_profiles` of the box ``dims`` with these maximal members."""
+    dims = shape.dims
     d = len(dims)
     profiles = []
     for free in range(d):

@@ -32,7 +32,7 @@ from .search import (
     flat_extremal_size,
 )
 from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
-from .system import IslandSystem, _edge_profiles, max_elements, non_maximal_restrictions
+from .system import IslandSystem, gap_profiles, max_elements, non_maximal_restrictions
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -225,7 +225,7 @@ def _structure_violations(system: IslandSystem) -> tuple[int, int, int]:
     members = max_elements(system)
     corners = gaps = 0
     if len(members) > 1:
-        for profile in _edge_profiles(system.shape.dims, members):
+        for profile in gap_profiles(system.shape, members):
             for gap in profile.gaps:
                 flanks = (gap.left_elementary, gap.right_elementary)
                 if profile.free_dim == 0:

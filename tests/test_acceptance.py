@@ -29,7 +29,6 @@ from islands import (
     nested_cubes,
     nested_min_system,
     restrict,
-    subdivision_size,
     subdivision_system,
 )
 
@@ -138,7 +137,7 @@ def test_criterion_5_construction_maximality():
         for k in range(1, 4):
             system = subdivision_system(d, k)
             checked += 1
-            if len(system) != subdivision_size(d, k) or not is_maximal(system):
+            if len(system) != max_cube_system_bound(d, 2 ** k - 1) or not is_maximal(system):
                 failures.append(("subdivision", (d, k)))
     report(5, f"maximality of {checked} constructed systems", failures, started, 120)
 
@@ -212,7 +211,7 @@ def test_criterion_8_structure_of_every_maximal_system(maximal_systems_of):
             for cell in _corner_cells(shape):
                 if not any(contains(member, cell) for member in members):
                     failures.append((dims, "unoccupied corner", cell))
-            for profile in gap_profiles(system):
+            for profile in gap_profiles(shape, members):
                 for gap in profile.gaps:
                     if gap.length > 2:
                         failures.append((dims, "gap longer than 2", gap))

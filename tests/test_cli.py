@@ -31,6 +31,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_into_a_closed_pipe(tmp_path, *argv):
+    """Run ``islands argv`` in a child whose stdout reader has gone, as under ``| true``."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "islands.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, cwd=tmp_path, env=child_env(), timeout=120)
+    finally:
+        os.close(write)
+    return child.returncode, child.stderr
+
+
 class TestConstruct:
     def test_nested_min(self, capsys):
         code, out, _ = run(capsys, "construct", "nested-min", "--shape", "2,2")
@@ -169,6 +181,11 @@ class TestCheck:
         assert report["laminar"] is True
         assert report["maximal"] is False
 
+    def test_a_closed_stdout_keeps_the_check_exit_code(self, tmp_path):
+        system = IslandSystem(Shape((2, 2)), [B((0, 0), (1, 1)), B((1, 1), (2, 2))])
+        path = self.write(tmp_path, system)
+        assert run_into_a_closed_pipe(tmp_path, "check", path) == (1, b"")
+
     GAPPED = '{"shape":[3,3],"cubic":false,"bricks":[[[0,0],[3,3]],[[0,0],[1,1]],[[2,2],[3,3]]]}'
     GAPPED_SUMMARY = ('{"laminar":true,"maximal":false,"size":3,"max_elements":2,'
                       '"gap_summary":{"edges":4,"gap_count":4,"max_gap_length":2}}\n')
@@ -292,6 +309,10 @@ class TestSearch:
                            "--engine", "flat", "--no-cache")
         assert code == 0
         assert json.loads(out)["value"] == 4
+
+    def test_a_closed_stdout_ends_search_quietly(self, tmp_path):
+        argv = ["search", "--shape", "2,2", "--no-cache"]
+        assert run_into_a_closed_pipe(tmp_path, *argv) == (0, b"")
 
     def test_cubic_requires_a_cube(self, capsys):
         code, _, err = run(capsys, "search", "--shape", "2,3", "--cubic", "--no-cache")

@@ -5,14 +5,15 @@ import pytest
 from islands import (
     Shape,
     enumerate_maximal_systems,
+    is_laminar,
     is_maximal,
+    max_cube_system_bound,
     max_elements,
     maximal_segment_systems,
     min_brick_system_size,
     minimal_maximal_systems,
     nested_cubes,
     nested_min_system,
-    subdivision_size,
     subdivision_system,
 )
 
@@ -41,7 +42,7 @@ class TestNestedMinSystem:
         shape = Shape(dims)
         system = nested_min_system(shape)
         assert len(system) == min_brick_system_size(shape)
-        assert system.is_laminar
+        assert is_laminar(system.bricks)
         assert shape.full_brick() in system
         assert is_maximal(system)
 
@@ -153,14 +154,14 @@ class TestSubdivisionSystem:
     def test_sizes(self, d, k, size):
         system = subdivision_system(d, k)
         assert len(system) == size
-        assert size == subdivision_size(d, k)
+        assert size == max_cube_system_bound(d, 2 ** k - 1)
         assert system.shape == Shape((2 ** k - 1,) * d)
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_laminar_cubic_and_maximal(self, d, k):
         system = subdivision_system(d, k)
         assert system.cubic
-        assert system.is_laminar
+        assert is_laminar(system.bricks)
         assert is_maximal(system)
 
     def test_top_layer_is_the_corner_copies(self):
@@ -179,5 +180,5 @@ def test_every_constructor_output_is_laminar_with_full_brick():
     cases = [nested_min_system(Shape(dims)) for dims in [(3, 3), (2, 1, 2), (4, 2)]]
     cases += [nested_cubes(2, 4), nested_cubes(3, 2), subdivision_system(2, 2)]
     for system in cases:
-        assert system.is_laminar
+        assert is_laminar(system.bricks)
         assert system.shape.full_brick() in system

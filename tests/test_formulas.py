@@ -10,10 +10,8 @@ from islands import (
     max_brick_system_bounds,
     max_cube_system_bound,
     max_rect_system_size,
-    max_square_system_bound,
     min_brick_system_size,
-    min_square_system_size,
-    subdivision_size,
+    nested_cubes,
 )
 
 
@@ -49,12 +47,12 @@ class TestMaxRectSize:
 
 class TestSquareFormulas:
     def test_min_square_size(self):
-        assert min_square_system_size(4) == 4
+        assert len(nested_cubes(2, 4)) == 4  # theorem 2 at d = 2: m squares
 
     def test_max_square_bound(self):
-        assert max_square_system_bound(3) == 5
-        assert max_square_system_bound(1) == 1
-        assert max_square_system_bound(2) == Fraction(8, 3)
+        assert max_cube_system_bound(2, 3) == 5
+        assert max_cube_system_bound(2, 1) == 1
+        assert max_cube_system_bound(2, 2) == Fraction(8, 3)
 
 
 class TestSandwichBounds:
@@ -98,20 +96,23 @@ class TestCubeBound:
 
     def test_matches_square_bound_in_2d(self):
         for m in range(1, 10):
-            assert max_cube_system_bound(2, m) == max_square_system_bound(m)
+            assert max_cube_system_bound(2, m) == Fraction(m * (m + 2), 3)
 
 
 class TestSubdivisionSize:
+    """The cube bound at m = 2^k - 1: the size of the subdivision of depth k."""
+
     @pytest.mark.parametrize("d,k,expected", [(2, 2, 5), (3, 3, 73), (4, 1, 1), (1, 5, 31)])
     def test_values(self, d, k, expected):
-        assert subdivision_size(d, k) == expected
+        assert max_cube_system_bound(d, 2 ** k - 1) == expected
 
     def test_recurrence(self):
         for d in range(1, 5):
             for k in range(2, 5):
-                assert subdivision_size(d, k) == 2 ** d * subdivision_size(d, k - 1) + 1
+                size = max_cube_system_bound(d, 2 ** k - 1)
+                assert size == 2 ** d * max_cube_system_bound(d, 2 ** (k - 1) - 1) + 1
 
-    def test_equals_cube_bound_at_power_of_two_sides(self):
+    def test_integral_at_power_of_two_sides(self):
         for d in range(1, 5):
             for k in range(1, 5):
-                assert subdivision_size(d, k) == max_cube_system_bound(d, 2 ** k - 1)
+                assert max_cube_system_bound(d, 2 ** k - 1).denominator == 1

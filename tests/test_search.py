@@ -18,6 +18,7 @@ from islands import (
     enumerate_saturated_fronts,
     extremal_size,
     flat_extremal_size,
+    is_laminar,
     is_maximal,
     max_cube_system_bound,
     max_elements,
@@ -184,7 +185,7 @@ class TestExtremalSize:
             assert len(report.witness) == report.value
             assert report.witness.shape == Shape(dims)
             assert report.witness.cubic == cubic
-            assert report.witness.is_laminar
+            assert is_laminar(report.witness.bricks)
             assert is_maximal(report.witness)
 
     def test_memoization_reports_hits(self):
@@ -247,7 +248,7 @@ class TestBranchAndBound:
                 continue
             report = extremal_size(Shape(dims), config)
             assert report.value == unpruned_value(tuple(sorted(dims)), mode, cubic), dims
-            assert report.witness.is_laminar, dims
+            assert is_laminar(report.witness.bricks), dims
             assert is_maximal(report.witness), dims
             assert len(report.witness) == report.value, dims
 
@@ -271,7 +272,7 @@ class TestBranchAndBound:
         report = extremal_size(Shape((7, 7)), SearchConfig(mode="max", cubic=True))
         assert report.value == max_cube_system_bound(2, 7) == 21
         assert report.witness.cubic
-        assert report.witness.is_laminar
+        assert is_laminar(report.witness.bricks)
         assert is_maximal(report.witness)
         assert len(report.witness) == 21
 

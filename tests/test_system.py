@@ -55,7 +55,7 @@ class TestLaminar:
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (3, 2), (2, 2, 2)])
     def test_nested_construction_is_laminar(self, dims):
-        assert nested_min_system(Shape(dims)).is_laminar
+        assert is_laminar(nested_min_system(Shape(dims)).bricks)
 
 
 FAMILY_SHAPES = [(3,), (3, 3), (3, 2, 2), (2, 2, 2, 2)]
@@ -261,14 +261,16 @@ class TestNonMaximalRestrictions:
 class TestGapProfiles:
     def test_edge_count(self):
         system = nested_min_system(Shape((2, 2, 2)))
-        assert len(gap_profiles(system)) == 3 * 4  # d * 2^(d-1)
+        profiles = gap_profiles(system.shape, max_elements(system))
+        assert len(profiles) == 3 * 4  # d * 2^(d-1)
 
     def test_two_cell_example(self):
         shape = Shape((3, 3))
         system = IslandSystem(
             shape, [shape.full_brick(), B((0, 0), (1, 1)), B((2, 2), (3, 3))]
         )
-        profiles = {(p.free_dim, p.sides): p for p in gap_profiles(system)}
+        profiles = gap_profiles(shape, max_elements(system))
+        profiles = {(p.free_dim, p.sides): p for p in profiles}
         bottom = profiles[(0, (0,))]
         assert bottom.covered == ((0, 1),)
         (gap,) = bottom.gaps
@@ -280,7 +282,7 @@ class TestGapProfiles:
         shape = Shape((3, 2))
         member = B((0, 0), (2, 2))
         system = IslandSystem(shape, [shape.full_brick(), member])
-        for profile in gap_profiles(system):
+        for profile in gap_profiles(shape, max_elements(system)):
             others = [j for j in range(2) if j != profile.free_dim]
             meets = all(
                 member.lo[j] == 0 if side == 0 else member.hi[j] == shape.dims[j]
@@ -292,7 +294,7 @@ class TestGapProfiles:
     def test_covered_and_gaps_partition_each_edge(self, dims):
         shape = Shape(dims)
         for system in enumerate_maximal_systems(shape):
-            for profile in gap_profiles(system):
+            for profile in gap_profiles(shape, max_elements(system)):
                 edge_len = dims[profile.free_dim]
                 pieces = [(a, b) for a, b in profile.covered]
                 pieces += [(g.start, g.end) for g in profile.gaps]
@@ -335,7 +337,7 @@ def test_corner_and_gap_structure_over_every_small_shape():
                     continue
                 for cell in corner_cells:
                     assert any(contains(member, cell) for member in members), (dims, cell)
-                for profile in gap_profiles(system):
+                for profile in gap_profiles(shape, members):
                     for gap in profile.gaps:
                         assert gap.length <= 2, (dims, gap)
                         assert gap.left_elementary is not None, (dims, gap)
