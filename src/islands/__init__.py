@@ -6,6 +6,8 @@ systems, the extremal constructions attaining them, and the structural
 facts every maximal system obeys.
 """
 
+import types as _types
+
 from .constructors import (
     maximal_segment_systems,
     minimal_maximal_systems,
@@ -60,48 +62,6 @@ from .system import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Brick",
-    "BoundPair",
-    "CapExceeded",
-    "DimensionMismatch",
-    "EdgeGap",
-    "ENGINE_VERSION",
-    "ExtremalReport",
-    "Front",
-    "GapProfile",
-    "IslandError",
-    "IslandSystem",
-    "SearchConfig",
-    "Shape",
-    "addable_bricks",
-    "brick_count",
-    "canonical_bricks",
-    "canonical_form",
-    "compatible",
-    "contains",
-    "disjoint",
-    "enumerate_bricks",
-    "enumerate_maximal_systems",
-    "enumerate_saturated_fronts",
-    "extremal_size",
-    "flat_extremal_size",
-    "front_is_saturated",
-    "gap_profiles",
-    "is_laminar",
-    "is_maximal",
-    "max_brick_system_bounds",
-    "max_cube_system_bound",
-    "max_elements",
-    "max_rect_system_size",
-    "maximal_segment_systems",
-    "min_brick_system_size",
-    "minimal_maximal_systems",
-    "nested_cubes",
-    "nested_min_system",
-    "non_maximal_restrictions",
-    "restrict",
-    "shape_symmetries",
-    "subdivision_system",
-    "transform_brick",
-]
+# Every public binding above, and no module: the import block is the one list.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -44,9 +44,6 @@ class Shape:
         """The brick occupying the whole ambient box."""
         return Brick((0,) * self.ndim, self.dims)
 
-    def __iter__(self):
-        return iter(self.dims)
-
     def __str__(self):
         return "x".join(str(m) for m in self.dims)
 

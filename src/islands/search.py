@@ -41,10 +41,8 @@ from .system import IslandSystem, _sorted_system, _universe_masks
 
 ENGINE_VERSION = "4"
 
-FRONT_BRICK_CAP = 200
-FLAT_BRICK_CAP = 40
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
-ENGINES = {"front": FRONT_BRICK_CAP, "flat": FLAT_BRICK_CAP}
+ENGINES = {"front": 200, "flat": 40}
 DEFAULT_NODE_CAP = 10 ** 8
 
 
@@ -247,7 +245,7 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     region with no proper sub-brick, i.e. a single elementary cell.  The
     region is held to the front engine's default brick cap.
     """
-    check_brick_cap(region, cubic, FRONT_BRICK_CAP)
+    check_brick_cap(region, cubic, ENGINES["front"])
     table = _Region(region.dims, cubic, lattice=False)
     bricks = [Brick(lo, hi) for lo, hi in table.corners]
     fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.corners),
@@ -368,10 +366,10 @@ def _axis_assignment(src_dims: tuple[int, ...], dst_dims: tuple[int, ...]) -> tu
     return tuple(mapping)
 
 
-def _run(shape: Shape, config: SearchConfig, default_cap: int, solve) -> ExtremalReport:
+def _run(shape: Shape, config: SearchConfig, engine: str, solve) -> ExtremalReport:
     """Check the brick cap, call ``solve(counter) -> (value, bricks)``, report."""
     started = time.perf_counter()
-    check_brick_cap(shape, config.cubic, config.brick_count_cap or default_cap)
+    check_brick_cap(shape, config.cubic, config.brick_count_cap or ENGINES[engine])
     counter = _Counter(config.node_cap)
     value, bricks = solve(counter)
     return ExtremalReport(
@@ -394,7 +392,7 @@ def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
         value = engine.value(shape.dims)
         return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
 
-    return _run(shape, config, FRONT_BRICK_CAP, solve)
+    return _run(shape, config, "front", solve)
 
 
 def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
@@ -422,7 +420,7 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
                 best, best_mask = size, mask
         return best, [Brick(lo, hi) for lo, hi in mask_members(best_mask, corners)]
 
-    return _run(shape, config, FLAT_BRICK_CAP, solve)
+    return _run(shape, config, "flat", solve)
 
 
 def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: _Counter,
@@ -472,7 +470,7 @@ def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: 
 
 
 def enumerate_maximal_systems(
-    shape: Shape, cubic: bool = False, cap: int = FLAT_BRICK_CAP
+    shape: Shape, cubic: bool = False, cap: int = ENGINES["flat"]
 ) -> Iterator[IslandSystem]:
     """Every maximal system of the shape, each exactly once, in sorted form.
 

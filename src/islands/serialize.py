@@ -13,7 +13,7 @@ import os
 from typing import Any
 
 from .geometry import Brick, Shape
-from .search import ExtremalReport
+from .search import ENGINE_VERSION, ExtremalReport
 from .system import IslandSystem
 
 DEFAULT_CACHE_PATH = "./islands-cache.jsonl"
@@ -86,13 +86,13 @@ def resolve_cache_path(cli_path: str | None) -> str:
     return os.environ.get(CACHE_PATH_ENV_VAR, DEFAULT_CACHE_PATH)
 
 
-def cache_key(shape: Shape, cubic: bool, mode: str, engine: str, engine_version: str) -> dict:
+def cache_key(shape: Shape, cubic: bool, mode: str, engine: str) -> dict:
     return {
         "shape": list(shape.dims),
         "cubic": cubic,
         "mode": mode,
         "engine": engine,
-        "engine_version": engine_version,
+        "engine_version": ENGINE_VERSION,
     }
 
 

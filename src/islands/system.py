@@ -17,10 +17,15 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import CapExceeded
 from .geometry import (
     Brick, IntervalMasks, Shape, brick_corners, canonical_bricks, compatible, contains,
     mask_members,
 )
+
+# gap_profiles builds one profile per box edge, d * 2^(d-1) of them whatever the
+# bricks; this cap lets d <= 15 through.
+EDGE_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -228,10 +233,15 @@ def gap_profiles(shape: Shape, members: list[Brick]) -> list[GapProfile]:
     ``members`` are the system's maximal members, as :func:`max_elements`
     returns them.  A member covers a segment of an edge when it touches the
     chosen face on every other axis; for a maximal system those segments are
-    pairwise separated, and the reported gaps are what is left over.
+    pairwise separated, and the reported gaps are what is left over.  A box
+    with more than :data:`EDGE_CAP` edges raises
+    :class:`~islands.errors.CapExceeded` before any profile is built.
     """
     dims = shape.dims
     d = len(dims)
+    edges = d * 2 ** (d - 1)
+    if edges > EDGE_CAP:
+        raise CapExceeded(f"edge cap {EDGE_CAP} exceeded: the box has {edges} edges")
     profiles = []
     for free in range(d):
         others = [j for j in range(d) if j != free]

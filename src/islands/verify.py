@@ -22,7 +22,6 @@ from .formulas import (
 from .geometry import Brick, Shape
 from .search import (
     DEFAULT_NODE_CAP,
-    ENGINE_VERSION,
     ENGINES,
     ExtremalReport,
     SearchConfig,
@@ -65,7 +64,7 @@ class Searcher:
         config = SearchConfig(mode=mode, cubic=cubic, brick_count_cap=self.brick_count_cap,
                               node_cap=self.node_cap)
         check_brick_cap(shape, cubic, config.brick_count_cap or ENGINES[self.engine])
-        key = cache_key(shape, cubic, mode, self.engine, ENGINE_VERSION)
+        key = cache_key(shape, cubic, mode, self.engine)
         report = cache_lookup(self.cache_path, key) if self.cache_path else None
         if report is None:
             run = extremal_size if self.engine == "front" else flat_extremal_size

@@ -19,8 +19,9 @@ from islands.cli import build_parser, main
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
 from islands.verify import FAIL, SKIPPED, Searcher, classification_rows, corollary_rows
-from islands import (CapExceeded, IslandSystem, Shape, contains, enumerate_bricks, max_elements,
-                     maximal_segment_systems, minimal_maximal_systems, nested_min_system)
+from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, enumerate_bricks,
+                     flat_extremal_size, max_elements, maximal_segment_systems,
+                     minimal_maximal_systems, nested_min_system)
 
 from conftest import B, child_env
 
@@ -227,6 +228,15 @@ class TestCheck:
         started = time.perf_counter()
         code, out, err = run(capsys, "check", str(path))
         assert time.perf_counter() - started < 5
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "cap exceeded"
+
+    def test_box_past_the_edge_cap_exits_3(self, capsys, tmp_path):
+        # one brick, but 16 * 2^15 = 524,288 box edges to profile
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps({"shape": [1] * 16, "cubic": False,
+                                    "bricks": [[[0] * 16, [1] * 16]]}))
+        code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "cap exceeded"
 
@@ -606,6 +616,15 @@ class TestCapsBeforeCache:
                               "--cache", str(cache))
         assert (code, second) == (0, first)
 
+    def test_flat_default_cap_holds_on_a_warm_cache(self, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        shape = Shape((4, 3))  # 60 bricks, past the flat engine's 40
+        Searcher(engine="flat", brick_count_cap=60, cache_path=cache).report(shape, "min")
+        with pytest.raises(CapExceeded):
+            Searcher(engine="flat", cache_path=cache).report(shape, "min")
+        with pytest.raises(CapExceeded):
+            flat_extremal_size(shape, SearchConfig(mode="min"))
+
 
 @pytest.mark.parametrize("caps", [{"brick_count_cap": 0}, {"node_cap": 0}])
 def test_searcher_rejects_non_positive_caps_on_a_warm_cache(tmp_path, caps):
@@ -670,6 +689,11 @@ class TestVerify:
         assert [(row["shape"], row["status"]) for row in rows] == (
             [(str(m), "PASS") for m in range(1, 6)] + [("6", SKIPPED)])
         assert (rows[-1]["expected"], rows[-1]["actual"]) == (0, "")
+
+    def test_corollary_rows_past_the_edge_cap_are_skipped(self):
+        rows = corollary_rows([Shape((3,) + (1,) * 15)])[:3]  # 6 bricks, 524,288 edges
+        assert [(row["mode"], row["status"]) for row in rows] == [
+            ("corners", SKIPPED), ("gaps", SKIPPED), ("restrict", SKIPPED)]
 
     def test_corollary_violations_are_counted(self, monkeypatch):
         # crafted systems, not maximal ones: every real maximal system passes

@@ -25,7 +25,7 @@ from islands import (
     max_rect_system_size,
     min_brick_system_size,
 )
-from islands.search import ENGINE_VERSION
+from islands.search import ENGINE_VERSION, ENGINES
 from islands.serialize import dumps_canonical, system_to_dict
 
 from conftest import B
@@ -244,7 +244,7 @@ class TestBranchAndBound:
     def test_pruned_search_matches_the_unpruned_recursion(self, mode, cubic):
         config = SearchConfig(mode=mode, cubic=cubic)
         for dims in PRUNING_SHAPES:
-            if brick_count(Shape(dims), cubic) > 200:  # the front engine's default cap
+            if brick_count(Shape(dims), cubic) > ENGINES["front"]:
                 continue
             report = extremal_size(Shape(dims), config)
             assert report.value == unpruned_value(tuple(sorted(dims)), mode, cubic), dims
@@ -258,7 +258,7 @@ class TestBranchAndBound:
         pick = min if mode == "min" else max
         for dims in PRUNING_SHAPES:
             shape = Shape(dims)
-            if brick_count(shape, cubic) > 200:
+            if brick_count(shape, cubic) > ENGINES["front"]:
                 continue
             fronts = [front.members for front in enumerate_saturated_fronts(shape, cubic)]
             totals = [sum(unpruned_value(tuple(sorted(m.sides())), mode, cubic) for m in members)
