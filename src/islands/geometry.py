@@ -238,15 +238,25 @@ def shape_symmetries(shape: Shape) -> Iterator[tuple[tuple[int, ...], tuple[bool
 
     A permutation may only trade axes of equal length; ``perm[i]`` names the
     source axis whose interval lands on axis ``i``.  A set flip reflects the
-    interval on that axis via ``x -> m_i - x``.
+    interval on that axis via ``x -> m_i - x``.  Permutations come in
+    lexicographic order, each with every flip mask in ``product`` order.
     """
-    dims = shape.dims
-    d = len(dims)
-    for perm in itertools.permutations(range(d)):
-        if any(dims[perm[i]] != dims[i] for i in range(d)):
-            continue
-        for flips in itertools.product((False, True), repeat=d):
+    for perm in _equal_side_permutations(shape.dims):
+        for flips in itertools.product((False, True), repeat=shape.ndim):
             yield perm, flips
+
+
+def _equal_side_permutations(dims: tuple[int, ...],
+                             prefix: tuple[int, ...] = ()) -> Iterator[tuple]:
+    """The permutations extending ``prefix`` that send each axis to one of equal
+    length, in lexicographic order; only those are built, never all d! of them."""
+    i = len(prefix)
+    if i == len(dims):
+        yield prefix
+        return
+    for j, m in enumerate(dims):
+        if m == dims[i] and j not in prefix:
+            yield from _equal_side_permutations(dims, prefix + (j,))
 
 
 def transform_brick(

@@ -111,9 +111,12 @@ class _Counter:
         self.memo_hits = 0
         self.cap = cap
 
-    def tick(self):
-        self.nodes += 1
+    def add(self, n: int):
+        """Count ``n`` nodes; past the cap, stop at ``cap + 1`` as a walk that
+        counts one node at a time would."""
+        self.nodes += n
         if self.nodes > self.cap:
+            self.nodes = self.cap + 1
             raise CapExceeded(f"node cap {self.cap} exceeded",
                               nodes_explored=self.nodes, memo_hits=self.memo_hits)
 
@@ -200,7 +203,7 @@ def _saturated_front_masks(
     stack = [(0, region.all_mask, region.all_mask, 0, region.reach[0])]
     while stack:
         members, breakers, allowed, partial, free = stack.pop()
-        counter.tick()
+        counter.add(1)
         if allowed == 0:
             if breakers == 0:
                 yield members, partial
@@ -283,14 +286,26 @@ class _FrontEngine:
     that cannot strictly beat the incumbent go, so the first optimal front in
     generation order, the witness, is kept.  The walk yields fronts as masks;
     only the winning one is decoded, once per region, into the memo's corners.
+
+    ``store`` outlives the run: each finished walk leaves there its memo entry,
+    its own node count and the sub-shapes it looked up, keyed by mode, cubic
+    and the dims in the order they were walked in, since the front and the
+    count depend on that order.  A region missing from the memo but in the
+    store is replayed, not walked: its lookups are made again in order, its
+    nodes are added, and its entry is memoized, so every count, and where a
+    node cap stops the run, comes out as in a run without the store.
     """
 
-    def __init__(self, mode: str, cubic: bool, counter: _Counter):
+    def __init__(self, mode: str, cubic: bool, counter: _Counter, store: dict | None = None):
+        self.mode = mode
         self.minimizing = mode == "min"
         self.cubic = cubic
         self.counter = counter
         # key -> (value, best front's corner pairs, dims the front was computed in)
         self.memo: dict[tuple[int, ...], tuple[int, list, tuple[int, ...]]] = {}
+        # (mode, cubic, dims) -> (memo entry, the nodes of its own walk, the sub-shapes
+        # it looked up, in order); shared by the runs given the same store
+        self.store = {} if store is None else store
 
     def key(self, dims: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(sorted(dims, reverse=True))
@@ -304,8 +319,24 @@ class _FrontEngine:
         if hit is not None:
             self.counter.memo_hits += 1
             return hit[0]
+        stored = (self.mode, self.cubic, dims)
+        solved = self.store.get(stored)
+        if solved is None:
+            solved = self.store[stored] = self._walk(dims)
+        else:  # replay the lookups and the node count of the walk that solved it
+            _, nodes, subs = solved
+            for sides in subs:
+                self.value(sides)
+            self.counter.add(nodes)
+        self.memo[key] = solved[0]
+        return solved[0][0]
+
+    def _walk(self, dims: tuple[int, ...]) -> tuple[tuple, int, tuple]:
+        """Solve ``dims`` over its saturated fronts: its memo entry, the nodes of
+        this walk alone, and the sub-shapes it looked up, in order."""
         region = _Region(dims, self.cubic, lattice=not self.minimizing)
-        values = {sides: self.value(sides) for sides in dict.fromkeys(region.sides)}
+        subs = tuple(dict.fromkeys(region.sides))
+        values = {sides: self.value(sides) for sides in subs}
         gain = [values[sides] for sides in region.sides]
         singles = [g for g, k in zip(gain, region.keep) if k == 0]
         if self.minimizing:
@@ -326,12 +357,12 @@ class _FrontEngine:
                 return partial * den + num * (free & reach[start]).bit_count() <= best * den
 
         best_mask = 0
+        walked = self.counter.nodes
         for members, partial in _saturated_front_masks(region, self.counter, gain, prune):
             if partial < best if self.minimizing else partial > best:
                 best, best_mask = partial, members
-        value = self.base(dims) + best
-        self.memo[key] = (value, mask_members(best_mask, region.corners), dims)
-        return value
+        entry = (self.base(dims) + best, mask_members(best_mask, region.corners), dims)
+        return entry, self.counter.nodes - walked, subs
 
     def witness_corners(self, dims: tuple[int, ...], at: tuple[int, ...]) -> Iterator[tuple]:
         """The witness's corner pairs, translated by ``at``; a front memoized in
@@ -384,11 +415,21 @@ def _run(shape: Shape, config: SearchConfig, engine: str, solve) -> ExtremalRepo
     )
 
 
-def extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
-    """Minimum or maximum size of a maximal system, by front decomposition."""
+def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None) -> ExtremalReport:
+    """Minimum or maximum size of a maximal system, by front decomposition.
+
+    ``store`` is a dict, empty at first, that a sweep passes to each of its
+    runs, so that a run replays the sub-shapes earlier runs solved instead of
+    walking them again.  Per ``(mode, cubic, dims)``, dims in the axis order
+    they were walked in, it holds the memo entry, the nodes of that shape's
+    own walk and the sub-shapes the walk looked up, for finished walks only.
+    A replay counts what the walk counted, so the report, or the
+    :class:`~islands.errors.CapExceeded`, is a fresh run's: ``nodes_explored``
+    and ``memo_hits`` are a fresh run's counts, not the nodes this call walked.
+    """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
-        engine = _FrontEngine(config.mode, config.cubic, counter)
+        engine = _FrontEngine(config.mode, config.cubic, counter, store)
         value = engine.value(shape.dims)
         return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
 
@@ -449,7 +490,7 @@ def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: 
     stack = [(0, table.all, 0)]
     while stack:
         rmask, pmask, xmask = stack.pop()
-        counter.tick()
+        counter.add(1)
         xm = xmask
         while xm:
             low = xm & -xm

@@ -9,7 +9,7 @@ integer comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constructors import minimal_maximal_systems
 from .errors import CapExceeded
@@ -49,12 +49,20 @@ class Searcher:
     a cached report that took more than ``node_cap`` nodes raises
     ``CapExceeded``.  ``serialize.cache_lookup`` decides which rows are hits;
     a miss is computed and appended.  ``cache_path=None`` disables caching.
+
+    With the front engine, every miss passes the searcher's one store to
+    ``extremal_size``: it keeps each sub-shape a run has solved, per mode,
+    cubic flag and axis order, with the node count of its walk and the
+    sub-shapes it looked up, so a later run replays it instead of walking it
+    again.  A report, or a ``CapExceeded``, still carries a fresh run's
+    ``nodes_explored`` and ``memo_hits``, not the nodes this call walked.
     """
 
     engine: str = "front"
     cache_path: str | None = None
     brick_count_cap: int | None = None
     node_cap: int = DEFAULT_NODE_CAP
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -67,8 +75,10 @@ class Searcher:
         key = cache_key(shape, cubic, mode, self.engine)
         report = cache_lookup(self.cache_path, key) if self.cache_path else None
         if report is None:
-            run = extremal_size if self.engine == "front" else flat_extremal_size
-            report = run(shape, config)
+            if self.engine == "front":
+                report = extremal_size(shape, config, self._store)
+            else:
+                report = flat_extremal_size(shape, config)
             if self.cache_path:
                 cache_append(self.cache_path, key, report_to_dict(report))
         elif report.nodes_explored > config.node_cap:  # where a fresh run would stop

@@ -223,6 +223,23 @@ class TestSymmetries:
         assert sum(1 for _ in shape_symmetries(Shape((3, 3)))) == 8
         assert sum(1 for _ in shape_symmetries(Shape((2, 2, 2)))) == 48
 
+    def test_order_is_that_of_the_filtered_permutations(self):
+        for d in range(1, 5):
+            for dims in itertools.product(range(1, 4), repeat=d):
+                reference = [(perm, flips) for perm in itertools.permutations(range(d))
+                             if all(dims[p] == m for p, m in zip(perm, dims))
+                             for flips in itertools.product((False, True), repeat=d)]
+                assert list(shape_symmetries(Shape(dims))) == reference, dims
+
+    def test_distinct_sides_walk_no_permutation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked all d! permutations")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        symmetries = list(shape_symmetries(Shape(tuple(range(1, 10)))))
+        assert len(symmetries) == 2 ** 9
+        assert {perm for perm, _ in symmetries} == {tuple(range(9))}
+
     def test_transform_preserves_validity(self):
         shape = Shape((3, 2))
         bricks = list(enumerate_bricks(shape))

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -25,8 +26,10 @@ from islands import (
     max_rect_system_size,
     min_brick_system_size,
 )
-from islands.search import ENGINE_VERSION, ENGINES
+from islands import search
+from islands.search import DEFAULT_NODE_CAP, ENGINE_VERSION, ENGINES
 from islands.serialize import dumps_canonical, system_to_dict
+from islands.verify import Searcher
 
 from conftest import B
 
@@ -214,6 +217,102 @@ class TestExtremalSize:
         report = extremal_size(Shape((2, 1)), SearchConfig(mode="max", cubic=True))
         assert report.value == 1
         assert is_maximal(report.witness)
+
+
+# Every shape with d <= 4, sides <= 6 and at most the front cap of bricks, with
+# its sides in falling and in rising order (the store keys a shape by its
+# ordered dims), plus the cubic ladder of the front-ladder benchmark; both
+# modes each.
+STORE_JOBS = [
+    (dims, mode, False)
+    for d in range(1, 5)
+    for falling in itertools.combinations_with_replacement(range(6, 0, -1), d)
+    if brick_count(Shape(falling)) <= ENGINES["front"]
+    for dims in dict.fromkeys((falling, falling[::-1]))
+    for mode in ("min", "max")
+] + [
+    ((m,) * d, mode, True)
+    for d, top in ((1, 8), (2, 6), (3, 3), (4, 2))
+    for m in range(1, top + 1)
+    for mode in ("min", "max")
+]
+
+
+def outcome(run):
+    """A report's value, witness and counts, or a cap's message and counts."""
+    try:
+        report = run()
+    except CapExceeded as exc:
+        return str(exc), exc.nodes_explored, exc.memo_hits
+    return report.value, report.witness.bricks, report.nodes_explored, report.memo_hits
+
+
+@functools.lru_cache(maxsize=None)
+def fresh_outcomes(node_cap):
+    return {(dims, mode, cubic): outcome(lambda: extremal_size(
+                Shape(dims), SearchConfig(mode=mode, cubic=cubic, node_cap=node_cap)))
+            for dims, mode, cubic in STORE_JOBS}
+
+
+@pytest.fixture
+def region_builds(monkeypatch):
+    """The region tables the front engine builds, one entry each."""
+    built = []
+
+    class Counted(search._Region):
+        __slots__ = ()
+
+        def __init__(self, dims, cubic, lattice):
+            built.append(dims)
+            super().__init__(dims, cubic, lattice)
+
+    monkeypatch.setattr(search, "_Region", Counted)
+    return built
+
+
+class TestSharedStore:
+    """One ``Searcher`` shares a front-engine store across its reports; each
+    report, and each cap it hits, must still be a fresh run's."""
+
+    @pytest.mark.parametrize("node_cap", [DEFAULT_NODE_CAP, 50, 300, 2000])
+    def test_every_report_equals_a_fresh_run(self, node_cap):
+        fresh = fresh_outcomes(node_cap)
+        capped = sum(isinstance(out[0], str) for out in fresh.values())
+        assert (capped == 0) == (node_cap == DEFAULT_NODE_CAP)
+        assert capped < len(fresh)  # some runs finish under every cap
+        for seed in range(3):
+            jobs = list(STORE_JOBS)
+            random.Random(seed).shuffle(jobs)
+            searcher = Searcher(engine="front", node_cap=node_cap)
+            for dims, mode, cubic in jobs:
+                shared = outcome(lambda: searcher.report(Shape(dims), mode, cubic))
+                assert shared == fresh[dims, mode, cubic], (seed, dims, mode, cubic)
+
+    def test_a_repeated_report_is_replayed_without_a_walk(self, region_builds):
+        searcher = Searcher(engine="front")
+        first = outcome(lambda: searcher.report(Shape((4, 3)), "max"))
+        walked = len(region_builds)
+        assert walked > 0
+        assert outcome(lambda: searcher.report(Shape((4, 3)), "max")) == first
+        assert len(region_builds) == walked
+
+    @pytest.mark.parametrize("before,after", [
+        (("max", False), ("min", False)),
+        (("max", True), ("min", True)),
+        (("min", True), ("min", False)),
+        (("max", True), ("max", False)),
+    ])
+    def test_a_run_feeds_only_its_own_mode_and_cubic_flag(self, region_builds, before, after):
+        shape = Shape((3, 3, 2))
+        searcher = Searcher(engine="front")
+        searcher.report(shape, *before)
+        del region_builds[:]
+        shared = outcome(lambda: searcher.report(shape, *after))
+        fed = len(region_builds)
+        del region_builds[:]
+        config = SearchConfig(mode=after[0], cubic=after[1])
+        assert shared == outcome(lambda: extremal_size(shape, config))
+        assert fed == len(region_builds) > 0  # every region walked again
 
 
 @functools.lru_cache(maxsize=None)
