@@ -27,13 +27,11 @@ from .geometry import (
     Brick,
     Shape,
     brick_count,
-    canonical_bricks,
     compatible,
     contains,
     disjoint,
     enumerate_bricks,
-    shape_symmetries,
-    transform_brick,
+    symmetric_images,
 )
 from .search import (
     ENGINE_VERSION,

@@ -233,17 +233,29 @@ def brick_count(shape: Shape, cubic: bool = False) -> int:
     return math.prod(m * (m + 1) // 2 for m in shape.dims)
 
 
-def shape_symmetries(shape: Shape) -> Iterator[tuple[tuple[int, ...], tuple[bool, ...]]]:
-    """All symmetries of the ambient box, as (axis permutation, flip mask).
+def symmetric_images(
+    shape: Shape, corners: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The images of the listed corner pairs ``(lo, hi)``, one list per symmetry
+    of the box, each in list order.
 
-    A permutation may only trade axes of equal length; ``perm[i]`` names the
-    source axis whose interval lands on axis ``i``.  A set flip reflects the
-    interval on that axis via ``x -> m_i - x``.  Permutations come in
-    lexicographic order, each with every flip mask in ``product`` order.
+    A symmetry trades axes of equal length, axis ``i`` taking the interval of
+    axis ``perm[i]``, and then reflects some axes via ``x -> m_i - x``.
+    Permutations come in lexicographic order, each with every flip mask in
+    ``product`` order, so the first list is the identity's.  Each symmetry maps
+    the box's bricks one to one onto its bricks, and cubes onto cubes.  The
+    corners are taken as :class:`IntervalMasks` takes them, unchecked.
     """
-    for perm in _equal_side_permutations(shape.dims):
-        for flips in itertools.product((False, True), repeat=shape.ndim):
-            yield perm, flips
+    pairs = list(corners)
+    dims = shape.dims
+    for perm in _equal_side_permutations(dims):
+        # per pair, its images under the flip masks in product order: on each
+        # axis the source axis's interval, kept or reflected
+        images = [[tuple(zip(*intervals)) for intervals in itertools.product(
+                       *([(lo[p], hi[p]), (m - hi[p], m - lo[p])] for p, m in zip(perm, dims)))]
+                  for lo, hi in pairs]
+        for k in range(2 ** len(dims)):
+            yield [image[k] for image in images]
 
 
 def _equal_side_permutations(dims: tuple[int, ...],
@@ -257,34 +269,3 @@ def _equal_side_permutations(dims: tuple[int, ...],
     for j, m in enumerate(dims):
         if m == dims[i] and j not in prefix:
             yield from _equal_side_permutations(dims, prefix + (j,))
-
-
-def transform_brick(
-    brick: Brick, shape: Shape, perm: tuple[int, ...], flips: tuple[bool, ...]
-) -> Brick:
-    """Apply one shape symmetry to a brick."""
-    if brick.ndim != shape.ndim:
-        raise DimensionMismatch(f"a brick of dimension {brick.ndim} is not in a shape "
-                                f"of dimension {shape.ndim}")
-    lo = []
-    hi = []
-    for i in range(shape.ndim):
-        a, b = brick.lo[perm[i]], brick.hi[perm[i]]
-        if flips[i]:
-            m = shape.dims[i]
-            a, b = m - b, m - a
-        lo.append(a)
-        hi.append(b)
-    return Brick(tuple(lo), tuple(hi))
-
-
-def canonical_bricks(shape: Shape, bricks: Iterable[Brick]) -> tuple[Brick, ...]:
-    """Lexicographically least image of a brick set under the shape symmetries.
-
-    The result is sorted and duplicate-free, and is the same for every brick
-    set in one symmetry orbit, which makes it usable as an isomorph-rejection
-    key.
-    """
-    base = set(bricks)
-    return min(tuple(sorted({transform_brick(b, shape, perm, flips) for b in base}))
-               for perm, flips in shape_symmetries(shape))  # the identity's image: base

@@ -19,8 +19,8 @@ from typing import Iterable
 
 from .errors import CapExceeded
 from .geometry import (
-    Brick, IntervalMasks, Shape, brick_corners, canonical_bricks, compatible, contains,
-    mask_members,
+    Brick, IntervalMasks, Shape, brick_corners, compatible, contains, mask_members,
+    symmetric_images,
 )
 
 # gap_profiles builds one profile per box edge, d * 2^(d-1) of them whatever the
@@ -188,10 +188,12 @@ def canonical_form(system: IslandSystem) -> IslandSystem:
     """The least image of the system under the shape's symmetry group.
 
     Idempotent, and equal for any two systems in the same symmetry orbit.
+    A symmetry maps the box's bricks one to one onto its bricks and cubes onto
+    cubes, so each image is a valid system; corner pairs sort as bricks do.
     """
-    return IslandSystem(
-        system.shape, canonical_bricks(system.shape, system.bricks), cubic=system.cubic
-    )
+    corners = [(b.lo, b.hi) for b in system.bricks]
+    least = min(sorted(images) for images in symmetric_images(system.shape, corners))
+    return _sorted_system(system.shape, [Brick(lo, hi) for lo, hi in least], system.cubic)
 
 
 @dataclass(frozen=True)

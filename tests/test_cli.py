@@ -616,6 +616,38 @@ class TestCapsBeforeCache:
                               "--cache", str(cache))
         assert (code, second) == (0, first)
 
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    @pytest.mark.parametrize("dims", ["4,3", "3,2,2", "2,2,2,2"])
+    def test_capped_run_on_a_warm_cache_prints_what_a_cold_one_prints(
+            self, capsys, tmp_path, dims, mode):
+        cache = tmp_path / "cache.jsonl"
+        code, out, _ = run(capsys, "search", "--shape", dims, "--mode", mode,
+                           "--cache", str(cache))
+        assert code == 0
+        rows = cache.read_text()
+        nodes = json.loads(out)["nodes"]
+        for cap in (1, 10, nodes - 1):
+            argv = ("search", "--shape", dims, "--mode", mode, "--node-cap", str(cap))
+            warm = run(capsys, *argv, "--cache", str(cache))
+            assert warm == run(capsys, *argv, "--no-cache")
+            assert warm[0] == 3 and f'"nodes":{cap + 1},' in warm[2]
+        assert cache.read_text() == rows  # a capped run appends nothing
+
+    def test_row_with_inflated_nodes_is_replaced_by_an_honest_one(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        argv = ("search", "--shape", "3,3", "--mode", "max")
+        code, out, _ = run(capsys, *argv, "--cache", str(cache))
+        assert code == 0
+        row = json.loads(cache.read_text())
+        nodes = row["report"]["nodes"]
+        row["report"]["nodes"] = nodes + 1000
+        cache.write_text(dumps_canonical(row) + "\n")
+        code, again, err = run(capsys, *argv, "--node-cap", str(nodes), "--cache", str(cache))
+        assert (code, err, json.loads(again)["nodes"]) == (0, "", nodes)
+        lines = cache.read_text().splitlines()  # the forged row, then the honest one
+        assert len(lines) == 2 and json.loads(lines[-1])["report"]["nodes"] == nodes
+        assert run(capsys, *argv, "--node-cap", str(nodes), "--cache", str(cache))[0] == 0
+
     def test_flat_default_cap_holds_on_a_warm_cache(self, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
         shape = Shape((4, 3))  # 60 bricks, past the flat engine's 40

@@ -10,16 +10,15 @@ from islands import (
     IslandSystem,
     Shape,
     brick_count,
-    canonical_bricks,
     canonical_form,
     compatible,
     contains,
     disjoint,
     enumerate_bricks,
-    shape_symmetries,
-    transform_brick,
+    enumerate_maximal_systems,
+    symmetric_images,
 )
-from islands.geometry import IntervalMasks
+from islands.geometry import IntervalMasks, brick_corners
 
 from conftest import B, laminar_systems
 
@@ -100,9 +99,7 @@ class TestPredicates:
     @pytest.mark.parametrize("call", [
         lambda: B((0, 0), (1, 1)).translate((1,)),
         lambda: B((0,), (1,)).translate((1, 2)),
-        lambda: transform_brick(B((0, 0), (1, 2)), Shape((3,)), (0,), (True,)),
-        lambda: canonical_bricks(Shape((3,)), [B((0, 0), (1, 2))]),
-    ], ids=["short-offset", "long-offset", "transform", "canonical"])
+    ], ids=["short-offset", "long-offset"])
     def test_moving_a_brick_across_dimensions_is_a_mismatch(self, call):
         # zip would drop the extra axes and return a brick of the wrong dimension
         with pytest.raises(DimensionMismatch):
@@ -217,40 +214,87 @@ class TestEnumeration:
         assert brick_count(Shape((5, 3))) == (5 * 6 // 2) * (3 * 4 // 2)
 
 
+def reference_images(shape, corners):
+    """``symmetric_images`` by its definition: the axis permutations that keep
+    side lengths, filtered from all d! of them, each with every flip mask, and
+    each applied to every pair axis by axis."""
+    dims = shape.dims
+    d = len(dims)
+    for perm in itertools.permutations(range(d)):
+        if any(dims[p] != m for p, m in zip(perm, dims)):
+            continue
+        for flips in itertools.product((False, True), repeat=d):
+            images = []
+            for lo, hi in corners:
+                image_lo, image_hi = [], []
+                for i in range(d):
+                    a, b = lo[perm[i]], hi[perm[i]]
+                    if flips[i]:
+                        a, b = dims[i] - b, dims[i] - a
+                    image_lo.append(a)
+                    image_hi.append(b)
+                images.append((tuple(image_lo), tuple(image_hi)))
+            yield images
+
+
+# Every ordered shape with d <= 4 and sides <= 3, with both cubic flags.
+SMALL_UNIVERSES = [(Shape(dims), cubic) for d in range(1, 5)
+                   for dims in itertools.product(range(1, 4), repeat=d)
+                   for cubic in (False, True)]
+
+
 class TestSymmetries:
     def test_group_sizes(self):
-        assert sum(1 for _ in shape_symmetries(Shape((2, 1)))) == 4
-        assert sum(1 for _ in shape_symmetries(Shape((3, 3)))) == 8
-        assert sum(1 for _ in shape_symmetries(Shape((2, 2, 2)))) == 48
+        assert sum(1 for _ in symmetric_images(Shape((2, 1)), [])) == 4
+        assert sum(1 for _ in symmetric_images(Shape((3, 3)), [])) == 8
+        assert sum(1 for _ in symmetric_images(Shape((2, 2, 2)), [])) == 48
 
     def test_order_is_that_of_the_filtered_permutations(self):
-        for d in range(1, 5):
-            for dims in itertools.product(range(1, 4), repeat=d):
-                reference = [(perm, flips) for perm in itertools.permutations(range(d))
-                             if all(dims[p] == m for p, m in zip(perm, dims))
-                             for flips in itertools.product((False, True), repeat=d)]
-                assert list(shape_symmetries(Shape(dims))) == reference, dims
+        for shape, cubic in SMALL_UNIVERSES:
+            corners = list(brick_corners(shape, cubic))
+            assert list(symmetric_images(shape, corners)) == \
+                list(reference_images(shape, corners)), (shape, cubic)
+
+    def test_each_image_permutes_the_universe_and_the_first_is_the_identity(self):
+        for shape, cubic in SMALL_UNIVERSES:
+            corners = list(brick_corners(shape, cubic))  # sorted, as bricks are
+            images = list(symmetric_images(shape, corners))
+            assert images[0] == corners
+            for image in images:
+                assert sorted(image) == corners, (shape, cubic)
 
     def test_distinct_sides_walk_no_permutation(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("walked all d! permutations")
 
         monkeypatch.setattr(itertools, "permutations", refuse)
-        symmetries = list(shape_symmetries(Shape(tuple(range(1, 10)))))
-        assert len(symmetries) == 2 ** 9
-        assert {perm for perm, _ in symmetries} == {tuple(range(9))}
+        shape = Shape(tuple(range(1, 10)))
+        cell = ((0,) * 9, (1,) * 9)
+        images = list(symmetric_images(shape, [cell]))
+        assert len(images) == 2 ** 9
+        # no axis moves: each flip mask takes the cell to the corner it names
+        assert images == [[(tuple(m - 1 if f else 0 for m, f in zip(shape.dims, flips)),
+                            tuple(m if f else 1 for m, f in zip(shape.dims, flips)))]
+                          for flips in itertools.product((False, True), repeat=9)]
 
-    def test_transform_preserves_validity(self):
-        shape = Shape((3, 2))
-        bricks = list(enumerate_bricks(shape))
-        for perm, flips in shape_symmetries(shape):
-            images = [transform_brick(b, shape, perm, flips) for b in bricks]
-            assert sorted(images) == bricks  # a bijection of the brick universe
+    def test_canonical_form_is_the_least_reference_image(self):
+        for shape, cubic in SMALL_UNIVERSES:
+            if brick_count(shape, cubic) > 40:
+                continue
+            universe = list(brick_corners(shape, cubic))
+            index = {pair: i for i, pair in enumerate(universe)}
+            group = list(reference_images(shape, universe))
+            for system in enumerate_maximal_systems(shape, cubic):
+                members = [index[b.lo, b.hi] for b in system.bricks]
+                least = min(sorted(image[i] for i in members) for image in group)
+                canonical = canonical_form(system)
+                assert (canonical.shape, canonical.cubic) == (shape, cubic)
+                assert canonical.bricks == tuple(Brick(lo, hi) for lo, hi in least), system
 
     def test_canonical_2x2_reflection(self):
         shape = Shape((2, 2))
-        system = [B((1, 1), (2, 2)), B((0, 0), (2, 2))]
-        assert canonical_bricks(shape, system) == (B((0, 0), (1, 1)), B((0, 0), (2, 2)))
+        system = IslandSystem(shape, [B((1, 1), (2, 2)), B((0, 0), (2, 2))])
+        assert canonical_form(system).bricks == (B((0, 0), (1, 1)), B((0, 0), (2, 2)))
 
     def test_canonical_identifies_mirror_systems(self):
         shape = Shape((2, 1))
@@ -260,14 +304,13 @@ class TestSymmetries:
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2), (3, 2)])
     def test_canonical_invariant_under_group(self, dims):
-        from islands import enumerate_maximal_systems
-
         shape = Shape(dims)
         for system in itertools.islice(enumerate_maximal_systems(shape), 25):
-            reference = canonical_bricks(shape, system.bricks)
-            for perm, flips in shape_symmetries(shape):
-                image = [transform_brick(b, shape, perm, flips) for b in system.bricks]
-                assert canonical_bricks(shape, image) == reference
+            reference = canonical_form(system)
+            corners = [(b.lo, b.hi) for b in system.bricks]
+            for image in symmetric_images(shape, corners):
+                moved = IslandSystem(shape, [Brick(lo, hi) for lo, hi in image])
+                assert canonical_form(moved) == reference
 
     @settings(max_examples=60)
     @given(laminar_systems())
