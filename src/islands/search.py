@@ -426,12 +426,28 @@ def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None)
     A replay counts what the walk counted, so the report, or the
     :class:`~islands.errors.CapExceeded`, is a fresh run's: ``nodes_explored``
     and ``memo_hits`` are a fresh run's counts, not the nodes this call walked.
+
+    A non-cubic run walks the shape without its sides of length 1 (keeping one
+    if all are), so ``(5, 4, 1)`` replays ``(5, 4)``, and the witness gets
+    ``[0, 1]`` back on each dropped axis.  Every brick spans ``[0, 1]`` there, so
+    the candidates, their order, gains and bounds are those of the smaller shape,
+    and so are value, witness and counts.  Cubic runs keep every side.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
         engine = _FrontEngine(config.mode, config.cubic, counter, store)
-        value = engine.value(shape.dims)
-        return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
+        kept = [i for i, m in enumerate(shape.dims) if m > 1 or config.cubic] or [0]
+        core = tuple(shape.dims[i] for i in kept)
+        value = engine.value(core)
+
+        def lift(point: tuple[int, ...], fill: int) -> tuple[int, ...]:
+            coords = iter(point)
+            return tuple(next(coords) if i in kept else fill for i in range(shape.ndim))
+
+        corners = engine.witness_corners(core, (0,) * len(core))
+        if len(core) < shape.ndim:
+            corners = [(lift(lo, 0), lift(hi, 1)) for lo, hi in corners]
+        return value, [Brick(*c) for c in corners]
 
     return _run(shape, config, "front", solve)
 

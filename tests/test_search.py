@@ -7,6 +7,7 @@ import random
 import pytest
 
 from islands import (
+    Brick,
     CapExceeded,
     Front,
     SearchConfig,
@@ -314,6 +315,65 @@ class TestSharedStore:
         assert shared == outcome(lambda: extremal_size(shape, config))
         assert fed == len(region_builds) > 0  # every region walked again
 
+    @pytest.mark.parametrize("dims", [(5, 4, 1), (1, 5, 4), (5, 1, 4, 1)])
+    def test_a_unit_side_twin_is_replayed_without_a_walk(self, region_builds, dims):
+        searcher = Searcher(engine="front")
+        searcher.report(Shape((5, 4)), "min")
+        del region_builds[:]
+        shared = outcome(lambda: searcher.report(Shape(dims), "min"))
+        assert region_builds == []
+        config = SearchConfig(mode="min")
+        assert shared == outcome(lambda: extremal_size(Shape(dims), config))
+        assert shared == outcome(lambda: unfolded_report(Shape(dims), config))
+
+    def test_a_cubic_unit_side_twin_is_walked(self, region_builds):
+        searcher = Searcher(engine="front")
+        searcher.report(Shape((3, 3)), "min", cubic=True)
+        del region_builds[:]
+        shared = outcome(lambda: searcher.report(Shape((3, 3, 1)), "min", cubic=True))
+        assert len(region_builds) > 0
+        config = SearchConfig(mode="min", cubic=True)
+        assert shared == outcome(lambda: unfolded_report(Shape((3, 3, 1)), config))
+
+    def test_fourteen_unit_sides_walk_only_the_core(self, region_builds):
+        shape = Shape((5, 4) + (1,) * 14)
+        report = Searcher(engine="front").report(shape, "max")
+        assert {len(dims) for dims in region_builds} == {2}
+        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 5789, 88)
+        assert report.witness.shape == shape and is_maximal(report.witness)
+
+
+def unfolded_report(shape, config):
+    """The front engine on the shape as given, sides of length 1 and all: the
+    body ``extremal_size`` had before it solved shapes without those sides."""
+
+    def solve(counter):
+        engine = search._FrontEngine(config.mode, config.cubic, counter)
+        value = engine.value(shape.dims)
+        return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
+
+    return search._run(shape, config, "front", solve)
+
+
+UNIT_SIDE_JOBS = [
+    (dims, mode, cubic)
+    for d in range(1, 5)
+    for dims in itertools.product(range(1, 7), repeat=d)
+    if 1 in dims and brick_count(Shape(dims)) <= ENGINES["front"]
+    for mode in ("min", "max")
+    for cubic in (False, True)
+]
+
+
+@pytest.mark.parametrize("node_cap", [DEFAULT_NODE_CAP, 50, 300, 2000])
+def test_a_unit_side_run_equals_the_unfolded_walk(node_cap):
+    """Dropping the sides of length 1 keeps the value, the witness, the counts
+    and where a node cap stops the run."""
+    for dims, mode, cubic in UNIT_SIDE_JOBS:
+        config = SearchConfig(mode=mode, cubic=cubic, node_cap=node_cap)
+        folded = outcome(lambda: extremal_size(Shape(dims), config))
+        assert folded == outcome(lambda: unfolded_report(Shape(dims), config)), (dims, mode, cubic)
+
 
 @functools.lru_cache(maxsize=None)
 def unpruned_value(key, mode, cubic):
@@ -572,6 +632,9 @@ def test_computed_values_respect_the_closed_form_bounds():
         (extremal_size, (4, 3, 2), "min", False, ("4", 7, 10539, 100)),
         (extremal_size, (7, 7), "min", True, ("4", 7, 8829, 15)),
         (extremal_size, (4, 4, 4), "min", True, ("4", 4, 293, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("4", 9, 436, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("4", 4, 47, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("4", 3, 13, 2)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
@@ -583,7 +646,8 @@ def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
 
 # Bricks written as "lo-hi" digit strings.  4,5 max replays a memo entry of
 # 1,2 into 2,1; 2,3,2 max and 2,3,4 max replay entries with two equal sides,
-# where only the stable-sort pairing of equal axes gives these bricks.
+# where only the stable-sort pairing of equal axes gives these bricks.  The
+# shapes with a side of 1 are solved without it and lifted back.
 PINNED_WITNESSES = [
     ((4, 5), "max", "00-11 00-15 00-45 02-13 02-15 04-15 20-31 20-41 20-45 22-33 22-43 22-45 "
                     "24-35 24-45"),
@@ -593,6 +657,9 @@ PINNED_WITNESSES = [
     ((2, 3, 2), "max", "000-111 000-112 000-212 000-232 020-131 020-132 020-232"),
     ((2, 3, 4), "max", "000-111 000-211 000-214 000-234 002-113 002-114 002-214 020-131 020-231 "
                        "020-234 022-133 022-134 022-234"),
+    ((4, 1, 3), "max", "000-111 000-113 000-413 002-113 200-311 200-411 200-413 202-313 202-413"),
+    ((1, 3, 2), "min", "000-111 000-112 000-122 000-132"),
+    ((2, 1, 2, 1), "max", "0000-1111 0000-1121 0000-2121"),
 ]
 
 
