@@ -39,7 +39,7 @@ from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, 
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_masks
 
-ENGINE_VERSION = "4"
+ENGINE_VERSION = "5"
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -455,12 +455,12 @@ def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None)
 def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     """Reference search: the extreme maximal system, by bounded Bron–Kerbosch.
 
-    Shares no decomposition machinery with :func:`extremal_size`.  Below a
-    node with candidates P, every maximal family keeps the chosen R and takes
-    between one and all of P: max prunes on ``|R| + |P| <= best``, min on
-    ``|R| + 1 >= best``.  Only branches that cannot strictly beat the incumbent
-    go, so the first extreme family in walk order, the witness, is kept.
-    Restricted to small brick universes by default.
+    Shares no decomposition machinery with :func:`extremal_size`.  Below a node
+    with candidates P, every maximal family keeps the chosen R and takes at least
+    one brick of P and at most one of each of its :func:`_colour_classes`: max
+    prunes on ``|R| + classes <= best``, min on ``|R| + 1 >= best``.  Only branches
+    that cannot strictly beat the incumbent go, so the first extreme family in
+    walk order, the witness, is kept.  Restricted to small brick universes by default.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
@@ -468,8 +468,15 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
         maximizing = config.mode == "max"
         best, best_mask = (0 if maximizing else len(corners) + 1), 0  # beaten by any family
 
-        def prune(size: int, room: int) -> bool:
-            return size + room <= best if maximizing else size + 1 >= best
+        def prune(size: int, pmask: int, compat: list[int]) -> bool:
+            if not maximizing:
+                return size + 1 >= best
+            room = best - size  # classes a family below must outnumber to beat best
+            for _ in _colour_classes(pmask, compat):
+                if room <= 0:
+                    return False
+                room -= 1
+            return True
 
         for mask in _maximal_families(shape, config.cubic, corners, counter, prune):
             size = mask.bit_count()
@@ -480,8 +487,23 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     return _run(shape, config, "flat", solve)
 
 
+def _colour_classes(pmask: int, compat: list[int]) -> Iterator[int]:
+    """A greedy split of ``pmask`` into classes of pairwise incompatible bricks, as masks.
+    A class takes the lowest bit, keeps only the bits outside its ``compat`` row, repeats,
+    and leaves the rest to the next class.  A laminar family takes at most one brick of
+    each class, so their number bounds its size (Tomita & Seki's colouring bound)."""
+    while pmask:
+        colour, rest = 0, pmask
+        while rest:
+            low = rest & -rest
+            colour |= low
+            rest &= ~(compat[low.bit_length() - 1] | low)
+        pmask ^= colour
+        yield colour
+
+
 def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: _Counter,
-                      prune: Callable[[int, int], bool]) -> Iterator[int]:
+                      prune: Callable[[int, int, list[int]], bool]) -> Iterator[int]:
     """Bron–Kerbosch over ``corners``, the universe of ``(shape, cubic)`` in the order
     of its cached table in ``system``; yields each maximal family as a mask.
 
@@ -492,8 +514,8 @@ def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: 
     compatible with every candidate: no family below could ever exclude it.
     With P empty that prune returns on any nonempty X, so a node that gets past
     it with P = X = ∅ has nothing left to add, and R is maximal.  A node with
-    P ≠ ∅ also dies when ``prune(|R|, |P|)``; a hook that never fires lists
-    every maximal family, in the order of their sorted members.
+    P ≠ ∅ also dies when ``prune(|R|, P, compat)``, ``compat[i]`` being brick i's compatible
+    mask; a hook that never fires lists every maximal family, in the order of their sorted members.
 
     The walk is one loop over an explicit stack of ``(R, P, X)`` nodes.  A node
     pushes its exclude child, then its include child, and is counted and
@@ -518,7 +540,7 @@ def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: 
         if pmask == 0:
             yield rmask
             continue
-        if prune(rmask.bit_count(), pmask.bit_count()):
+        if prune(rmask.bit_count(), pmask, compat):
             continue
         low = pmask & -pmask
         row = compat[low.bit_length() - 1]
@@ -543,5 +565,5 @@ def enumerate_maximal_systems(
     corners = list(brick_corners(shape, cubic))
     bricks = [Brick(lo, hi) for lo, hi in corners]
     families = _maximal_families(shape, cubic, corners, _Counter(DEFAULT_NODE_CAP),
-                                 lambda size, room: False)
+                                 lambda size, pmask, compat: False)
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from islands import (
     Brick,
@@ -28,6 +30,7 @@ from islands import (
     min_brick_system_size,
 )
 from islands import search
+from islands.geometry import IntervalMasks, brick_corners, mask_members
 from islands.search import DEFAULT_NODE_CAP, ENGINE_VERSION, ENGINES
 from islands.serialize import dumps_canonical, system_to_dict
 from islands.verify import Searcher
@@ -510,12 +513,59 @@ class TestFlatBranchAndBound:
             assert witness == first_extreme_families(dims, cubic, 40)[mode], dims
             assert report.value == len(report.witness), dims
 
+    # Past the default cap of 40 bricks, where the colour classes of the max
+    # prune are larger: 5x4 has 150 bricks, 6x3 126, 3x3x2 108 and 4x4 100.
+    @pytest.mark.parametrize("dims,values", [((5, 4), (8, 14)), ((4, 4), (7, 11)),
+                                             ((6, 3), (8, 13)), ((3, 3, 2), (6, 11))],
+                             ids=["5,4", "4,4", "6,3", "3,3,2"])
     @pytest.mark.parametrize("mode", ["min", "max"])
-    def test_bounded_walk_keeps_the_first_extreme_family_of_5x4(self, mode):
-        report = flat_extremal_size(Shape((5, 4)), SearchConfig(mode=mode, brick_count_cap=150))
+    def test_bounded_walk_keeps_the_first_extreme_family_past_the_cap(self, dims, values, mode):
+        report = flat_extremal_size(Shape(dims), SearchConfig(mode=mode, brick_count_cap=150))
         witness = dumps_canonical(system_to_dict(report.witness))
-        assert witness == first_extreme_families((5, 4), False, 150)[mode]
-        assert report.value == len(report.witness) == {"min": 8, "max": 14}[mode]
+        assert witness == first_extreme_families(dims, False, 150)[mode]
+        assert report.value == len(report.witness) == dict(zip(("min", "max"), values))[mode]
+
+
+# Every axis order with d <= 3 and sides <= 6 whose universe has at most 40
+# bricks, under each cubic flag.
+COLOUR_UNIVERSES = [
+    (dims, cubic)
+    for d in (1, 2, 3)
+    for dims in itertools.product(range(1, 7), repeat=d)
+    for cubic in (False, True)
+    if brick_count(Shape(dims), cubic) <= 40
+]
+
+
+def largest_laminar(bricks):
+    """The most pairwise compatible bricks of the list, by exhaustive search."""
+    if not bricks:
+        return 0
+    first, rest = bricks[0], bricks[1:]
+    return max(largest_laminar(rest),
+               1 + largest_laminar([b for b in rest if compatible(first, b)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_colour_classes_bound_every_laminar_subfamily(data):
+    # The flat max prune reads the classes off the walk's compat rows; check
+    # them against the scalar predicate.
+    dims, cubic = data.draw(st.sampled_from(COLOUR_UNIVERSES))
+    shape = Shape(dims)
+    corners = list(brick_corners(shape, cubic))
+    pmask = data.draw(st.integers(0, (1 << len(corners)) - 1))
+    table = IntervalMasks(shape, corners)
+    compat = [table.compatible(lo, hi) for lo, hi in corners]
+    classes = list(search._colour_classes(pmask, compat))
+    assert all(classes)
+    assert sum(c.bit_count() for c in classes) == pmask.bit_count()  # disjoint, given the cover
+    assert functools.reduce(int.__or__, classes, 0) == pmask
+    bricks = [Brick(lo, hi) for lo, hi in corners]
+    for colour in classes:
+        members = mask_members(colour, bricks)
+        assert not any(compatible(a, b) for a, b in itertools.combinations(members, 2))
+    assert len(classes) >= largest_laminar(mask_members(pmask, bricks))
 
 
 class TestOracleEquivalence:
@@ -622,25 +672,29 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, ("4", 14, 5789, 88)),
-        (extremal_size, (4, 3, 2), "max", False, ("4", 13, 4141, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, ("4", 5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, ("4", 9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, ("4", 7, 393, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, ("4", 4, 169, 0)),
-        (extremal_size, (5, 4), "min", False, ("4", 8, 24694, 88)),
-        (extremal_size, (4, 3, 2), "min", False, ("4", 7, 10539, 100)),
-        (extremal_size, (7, 7), "min", True, ("4", 7, 8829, 15)),
-        (extremal_size, (4, 4, 4), "min", True, ("4", 4, 293, 3)),
-        (extremal_size, (4, 1, 3), "max", False, ("4", 9, 436, 32)),
-        (extremal_size, (1, 3, 2), "min", False, ("4", 4, 47, 7)),
-        (extremal_size, (2, 1, 2, 1), "max", False, ("4", 3, 13, 2)),
+        (extremal_size, (5, 4), "max", False, ("5", 14, 5789, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("5", 13, 4141, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("5", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("5", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("5", 7, 117, 0)),
+        (flat_extremal_size, (5, 4), "max", False, ("5", 14, 17675, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("5", 4, 169, 0)),
+        (extremal_size, (5, 4), "min", False, ("5", 8, 24694, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("5", 7, 10539, 100)),
+        (extremal_size, (7, 7), "min", True, ("5", 7, 8829, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("5", 4, 293, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("5", 9, 436, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("5", 4, 47, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("5", 3, 13, 2)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
     # The walks read the region and compatibility masks; a wrong mask moves a count.
     # Cached reports carry these counts, so a count that moves needs an ENGINE_VERSION bump.
-    report = search(Shape(dims), SearchConfig(mode=mode, cubic=cubic))
+    # Each row runs at its own universe's size as the brick cap (150 for flat 5,4).
+    shape = Shape(dims)
+    report = search(shape, SearchConfig(mode=mode, cubic=cubic,
+                                        brick_count_cap=brick_count(shape, cubic)))
     assert (ENGINE_VERSION, report.value, report.nodes_explored, report.memo_hits) == expected
 
 
