@@ -58,7 +58,11 @@ def _positive_int(text: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use; callers must not change it."""
+    """The process's one parser, built on first use; callers must not change it.
+
+    Each construction kind and each verify suite has its own subparser that
+    declares only the options it reads, so any other option is a usage error.
+    """
     parser = argparse.ArgumentParser(
         prog="islands",
         description="Construct, check and search systems of brick and cubic islands.",
@@ -66,43 +70,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit one of the extremal constructions as JSON")
-    p.add_argument("kind", choices=["nested-min", "minimal-family", "nested-cubes", "subdivision"])
-    p.add_argument("--shape", type=_parse_shape, help="comma-separated sides, e.g. 3,3")
-    p.add_argument("--d", type=int, help="dimension (nested-cubes, subdivision)")
-    p.add_argument("--m", type=int, help="cube side (nested-cubes)")
-    p.add_argument("--k", type=int, help="subdivision depth (subdivision)")
-    p.add_argument("--output", "-o", help="write to this path instead of stdout")
     p.set_defaults(run=cmd_construct)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    options = {"shape": (_parse_shape, "comma-separated sides, e.g. 3,3"), "d": (int, "dimension"),
+               "m": (int, "cube side"), "k": (int, "subdivision depth")}
+    for kind, names, systems in (
+        ("nested-min", ("shape",), lambda args: [nested_min_system(args.shape)]),
+        ("minimal-family", ("shape",), lambda args: minimal_maximal_systems(args.shape)),
+        ("nested-cubes", ("d", "m"), lambda args: [nested_cubes(args.d, args.m)]),
+        ("subdivision", ("d", "k"), lambda args: [subdivision_system(args.d, args.k)]),
+    ):
+        q = kinds.add_parser(kind)
+        for name in names:
+            parse, help_ = options[name]
+            q.add_argument(f"--{name}", type=parse, required=True, help=help_)
+        q.add_argument("--output", "-o", help="write to this path instead of stdout")
+        q.set_defaults(systems=systems)
 
     p = sub.add_parser("check", help="validate a system JSON file")
     p.add_argument("path", help="system file, or - for stdin")
     p.set_defaults(run=cmd_check)
 
-    p = sub.add_parser("search", help="compute an extremal maximal-system size")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--engine", choices=list(ENGINES), default="front")
+    cache.add_argument("--cache", default=None, help="results cache path (JSON lines)")
+    cache.add_argument("--no-cache", action="store_true")
+
+    p = sub.add_parser("search", help="compute an extremal maximal-system size", parents=[cache])
     p.add_argument("--shape", type=_parse_shape, required=True)
     p.add_argument("--mode", choices=["min", "max"], default="min")
     p.add_argument("--cubic", action="store_true")
-    p.add_argument("--engine", choices=list(ENGINES), default="front")
     p.add_argument("--brick-cap", type=_positive_int, default=None)
     p.add_argument("--node-cap", type=_positive_int, default=DEFAULT_NODE_CAP)
-    p.add_argument("--cache", default=None, help="results cache path (JSON lines)")
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("verify", help="sweep a claim suite and print a pass/fail table")
-    p.add_argument("suite", choices=["theorem1", "theorem2", "theorem3",
-                                     "prior-work", "classification", "corollaries"])
-    p.add_argument("--max-dim", type=_positive_int, default=2)
-    p.add_argument("--max-side", type=_positive_int, default=3)
-    p.add_argument("--shape", type=_parse_shape, action="append", default=None,
-                   help="explicit shape (repeatable; classification and corollaries)")
-    p.add_argument("--engine", choices=list(ENGINES), default="front")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--strict", action="store_true", help="treat SKIPPED rows as failures")
-    p.add_argument("--cache", default=None)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--output", "-o", help="write the table to this path instead of stdout")
     p.set_defaults(run=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+    table.add_argument("--strict", action="store_true", help="treat SKIPPED rows as failures")
+    table.add_argument("--output", "-o", help="write the table to this path instead of stdout")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[table, cache])
+    sweep.add_argument("--max-side", type=_positive_int, default=3)
+    box = argparse.ArgumentParser(add_help=False, parents=[sweep])
+    box.add_argument("--max-dim", type=_positive_int, default=2)
+    oracle = argparse.ArgumentParser(add_help=False, parents=[table])
+    oracle.add_argument("--shape", type=_parse_shape, action="append",
+                        help="explicit shape (repeatable)")
+    oracle.add_argument("--no-cache", action="store_true", help="a no-op: these suites keep no cache")
+    # the lambdas look the row functions up in `sweeps` per call, not once here
+    for suite, parent, rows in (
+        ("theorem1", box, lambda a: sweeps.theorem1_rows(_searcher(a), a.max_dim, a.max_side)),
+        ("theorem2", box, lambda a: sweeps.theorem2_rows(_searcher(a), a.max_dim, a.max_side)),
+        ("theorem3", box, lambda a: sweeps.theorem3_rows(_searcher(a), a.max_dim, a.max_side)),
+        ("prior-work", sweep, lambda a: sweeps.prior_work_rows(_searcher(a), a.max_side)),
+        ("classification", oracle, lambda a: sweeps.classification_rows(
+            a.shape or [Shape((2, 1)), Shape((2, 2))])),
+        ("corollaries", oracle, lambda a: sweeps.corollary_rows(
+            a.shape or [Shape((3, 3)), Shape((2, 3)), Shape((2, 2, 2))])),
+    ):
+        suites.add_parser(suite, parents=[parent]).set_defaults(rows=rows)
 
     return parser
 
@@ -157,20 +185,7 @@ def _searcher(args, **caps) -> sweeps.Searcher:
 
 
 def cmd_construct(args) -> int:
-    def need(name):
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"construct {args.kind} requires --{name}")
-        return value
-
-    if args.kind == "nested-min":
-        systems = [nested_min_system(need("shape"))]
-    elif args.kind == "minimal-family":
-        systems = minimal_maximal_systems(need("shape"))  # lazy: written as it is made
-    elif args.kind == "nested-cubes":
-        systems = [nested_cubes(need("d"), need("m"))]
-    else:
-        systems = [subdivision_system(need("d"), need("k"))]
+    systems = args.systems(args)  # minimal-family's is lazy: each is written as it is made
     _emit((dumps_canonical(system_to_dict(system)) for system in systems), args.output)
     return EXIT_OK
 
@@ -221,29 +236,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.shape and args.suite not in ("classification", "corollaries"):
-        raise ValueError(f"--shape applies to classification and corollaries, not {args.suite}")
-    searcher = _searcher(args)
-    if args.suite == "theorem1":
-        rows = sweeps.theorem1_rows(searcher, args.max_dim, args.max_side)
-    elif args.suite == "theorem2":
-        rows = sweeps.theorem2_rows(searcher, args.max_dim, args.max_side)
-    elif args.suite == "theorem3":
-        rows = sweeps.theorem3_rows(searcher, args.max_dim, args.max_side)
-    elif args.suite == "prior-work":
-        rows = sweeps.prior_work_rows(searcher, args.max_side)
-    elif args.suite == "classification":
-        shapes = args.shape or [Shape((2, 1)), Shape((2, 2))]
-        rows = sweeps.classification_rows(shapes)
-    else:
-        shapes = args.shape or [Shape((3, 3)), Shape((2, 3)), Shape((2, 2, 2))]
-        rows = sweeps.corollary_rows(shapes)
-
-    if args.format == "json":
-        lines = [dumps_canonical(rows)]
-    else:
-        lines = _csv_lines(rows)
-    _emit(lines, args.output)
+    rows = args.rows(args)
+    _emit([dumps_canonical(rows)] if args.format == "json" else _csv_lines(rows), args.output)
 
     bad = {sweeps.FAIL, sweeps.SKIPPED} if args.strict else {sweeps.FAIL}
     return EXIT_VIOLATION if any(row["status"] in bad for row in rows) else EXIT_OK

@@ -262,9 +262,13 @@ class _FrontEngine:
     A region's value is ``base + opt over saturated fronts of the sum of
     member values``, where ``base`` is 1 whenever the region's full brick
     belongs to the systems being counted (always, except for cubic systems
-    in a non-cube region, whose full brick is not a cube).  Memo entries are
-    keyed by the side-length multiset: translation moves subproblems onto
-    regions, and axis relabeling is a bijection on systems.
+    in a non-cube region, whose full brick is not a cube).  A region is solved
+    as its :meth:`core`: every brick spans ``[0, 1]`` on a side of length 1, so
+    candidates, order, gains, bounds, value, front and nodes are the core's.
+    Memo entries are keyed by the core's side-length multiset: translation
+    moves subproblems onto regions, and axis relabeling is a bijection on
+    systems.  Unfolded, every region of a run has the root's dimension, so
+    sorted cores split its lookups into the same classes as sorted dims.
 
     The front walk is an exact branch-and-bound in integers on ``partial``,
     the members' value sum.  Every front below a node with a disjoint
@@ -289,11 +293,12 @@ class _FrontEngine:
 
     ``store`` outlives the run: each finished walk leaves there its memo entry,
     its own node count and the sub-shapes it looked up, keyed by mode, cubic
-    and the dims in the order they were walked in, since the front and the
-    count depend on that order.  A region missing from the memo but in the
-    store is replayed, not walked: its lookups are made again in order, its
-    nodes are added, and its entry is memoized, so every count, and where a
-    node cap stops the run, comes out as in a run without the store.
+    and the core in the order it was walked in, since the front and the count
+    depend on that order; so ``(5, 4, 1)`` replays ``(5, 4)``.  A region missing
+    from the memo but in the store is replayed, not walked: its lookups are
+    made again in order, its nodes are added, and its entry is memoized, so
+    every count, and where a node cap stops the run, comes out as in a run
+    without the store.
     """
 
     def __init__(self, mode: str, cubic: bool, counter: _Counter, store: dict | None = None):
@@ -307,8 +312,15 @@ class _FrontEngine:
         # it looked up, in order); shared by the runs given the same store
         self.store = {} if store is None else store
 
+    def core(self, dims: tuple[int, ...]) -> tuple[int, ...]:
+        """``dims`` without its sides of length 1, keeping one if all are; in
+        cubic mode, where a side of 1 rules out every larger cube, ``dims``."""
+        if self.cubic or 1 not in dims:
+            return dims
+        return tuple(m for m in dims if m > 1) or dims[:1]
+
     def key(self, dims: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(dims, reverse=True))
+        return tuple(sorted(self.core(dims), reverse=True))
 
     def base(self, dims: tuple[int, ...]) -> int:
         return 1 if not self.cubic or len(set(dims)) == 1 else 0
@@ -319,10 +331,11 @@ class _FrontEngine:
         if hit is not None:
             self.counter.memo_hits += 1
             return hit[0]
-        stored = (self.mode, self.cubic, dims)
+        core = self.core(dims)
+        stored = (self.mode, self.cubic, core)
         solved = self.store.get(stored)
         if solved is None:
-            solved = self.store[stored] = self._walk(dims)
+            solved = self.store[stored] = self._walk(core)
         else:  # replay the lookups and the node count of the walk that solved it
             _, nodes, subs = solved
             for sides in subs:
@@ -365,12 +378,14 @@ class _FrontEngine:
         return entry, self.counter.nodes - walked, subs
 
     def witness_corners(self, dims: tuple[int, ...], at: tuple[int, ...]) -> Iterator[tuple]:
-        """The witness's corner pairs, translated by ``at``; a front memoized in
-        a permutation of ``dims`` is permuted along :func:`_axis_assignment`."""
+        """The witness's corner pairs, translated by ``at``.  A front memoized in
+        other dims is carried over along :func:`_axis_assignment`, and spans
+        ``[0, 1]`` on each side of length 1 that its own dims lack."""
         _, front, entry_dims = self.memo[self.key(dims)]
         if entry_dims != dims:
-            perm = _axis_assignment(entry_dims, dims)
-            front = [(tuple(lo[p] for p in perm), tuple(hi[p] for p in perm)) for lo, hi in front]
+            axes = _axis_assignment(entry_dims, dims)
+            front = [(tuple(0 if j is None else lo[j] for j in axes),
+                      tuple(1 if j is None else hi[j] for j in axes)) for lo, hi in front]
         if self.base(dims):
             yield at, tuple(map(operator.add, at, dims))
         for lo, hi in front:
@@ -387,12 +402,15 @@ def _largest_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
-def _axis_assignment(src_dims: tuple[int, ...], dst_dims: tuple[int, ...]) -> tuple[int, ...]:
-    """For each destination axis, a distinct source axis of equal length: stable
-    sorts by length pair the k-th axis of each length in both frames."""
-    mapping = [0] * len(dst_dims)
-    for i, j in zip(sorted(range(len(dst_dims)), key=dst_dims.__getitem__),
-                    sorted(range(len(src_dims)), key=src_dims.__getitem__)):
+def _axis_assignment(src_dims: tuple[int, ...],
+                     dst_dims: tuple[int, ...]) -> tuple[int | None, ...]:
+    """For each destination axis, a distinct source axis of equal length, or
+    ``None`` for a side of length 1 past the source's: stable sorts by falling
+    length pair the k-th axis of each length in both frames, and the 1s come
+    last, where only the destination may have more."""
+    mapping: list[int | None] = [None] * len(dst_dims)
+    for i, j in zip(sorted(range(len(dst_dims)), key=lambda i: -dst_dims[i]),
+                    sorted(range(len(src_dims)), key=lambda j: -src_dims[j])):
         mapping[i] = j
     return tuple(mapping)
 
@@ -420,34 +438,18 @@ def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None)
 
     ``store`` is a dict, empty at first, that a sweep passes to each of its
     runs, so that a run replays the sub-shapes earlier runs solved instead of
-    walking them again.  Per ``(mode, cubic, dims)``, dims in the axis order
-    they were walked in, it holds the memo entry, the nodes of that shape's
-    own walk and the sub-shapes the walk looked up, for finished walks only.
-    A replay counts what the walk counted, so the report, or the
+    walking them again.  Per ``(mode, cubic, core)``, ``core`` the walked dims
+    as :meth:`_FrontEngine.core` leaves them, it holds the memo entry, the
+    nodes of that walk and the sub-shapes it looked up, for finished walks
+    only.  A replay counts what the walk counted, so the report, or the
     :class:`~islands.errors.CapExceeded`, is a fresh run's: ``nodes_explored``
     and ``memo_hits`` are a fresh run's counts, not the nodes this call walked.
-
-    A non-cubic run walks the shape without its sides of length 1 (keeping one
-    if all are), so ``(5, 4, 1)`` replays ``(5, 4)``, and the witness gets
-    ``[0, 1]`` back on each dropped axis.  Every brick spans ``[0, 1]`` there, so
-    the candidates, their order, gains and bounds are those of the smaller shape,
-    and so are value, witness and counts.  Cubic runs keep every side.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
         engine = _FrontEngine(config.mode, config.cubic, counter, store)
-        kept = [i for i, m in enumerate(shape.dims) if m > 1 or config.cubic] or [0]
-        core = tuple(shape.dims[i] for i in kept)
-        value = engine.value(core)
-
-        def lift(point: tuple[int, ...], fill: int) -> tuple[int, ...]:
-            coords = iter(point)
-            return tuple(next(coords) if i in kept else fill for i in range(shape.ndim))
-
-        corners = engine.witness_corners(core, (0,) * len(core))
-        if len(core) < shape.ndim:
-            corners = [(lift(lo, 0), lift(hi, 1)) for lo, hi in corners]
-        return value, [Brick(*c) for c in corners]
+        value = engine.value(shape.dims)
+        return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
 
     return _run(shape, config, "front", solve)
 

@@ -906,6 +906,20 @@ class TestUsageErrors:
         assert out == ""
         assert "--shape" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "prior-work", "--max-dim", "4"),
+        ("verify", "classification", "--max-side", "9"),
+        ("verify", "corollaries", "--engine", "flat"),
+        ("verify", "classification", "--cache", "rows.jsonl"),
+        ("construct", "nested-min", "--shape", "2,2", "--d", "3"),
+        ("construct", "subdivision", "--d", "2", "--k", "2", "--m", "3"),
+    ])
+    def test_an_option_the_command_does_not_read(self, capsys, argv):
+        # the command does not read the option, so it must not run as if it had
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert argv[-2] in err
+
     def test_bad_shape_string(self, capsys):
         assert run(capsys, "search", "--shape", "2,x")[0] == 2
 

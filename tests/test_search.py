@@ -338,40 +338,63 @@ class TestSharedStore:
         config = SearchConfig(mode="min", cubic=True)
         assert shared == outcome(lambda: unfolded_report(Shape((3, 3, 1)), config))
 
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_a_box_replays_its_faces(self, region_builds, mode):
+        shape = Shape((4, 3, 2))
+        fresh = outcome(lambda: extremal_size(shape, SearchConfig(mode=mode)))
+        walked_fresh = len(region_builds)
+        searcher = Searcher(engine="front")
+        for face in [(4, 3), (3, 4), (4, 2), (3, 2)]:
+            searcher.report(Shape(face), mode)
+        walked_faces = len(region_builds)
+        assert outcome(lambda: searcher.report(shape, mode)) == fresh
+        assert len(region_builds) - walked_faces < walked_fresh
+        assert all(dims == (1,) or 1 not in dims for dims in region_builds)
+
     def test_fourteen_unit_sides_walk_only_the_core(self, region_builds):
         shape = Shape((5, 4) + (1,) * 14)
         report = Searcher(engine="front").report(shape, "max")
-        assert {len(dims) for dims in region_builds} == {2}
+        assert region_builds and all(dims == (1,) or 1 not in dims for dims in region_builds)
         assert (report.value, report.nodes_explored, report.memo_hits) == (14, 5789, 88)
         assert report.witness.shape == shape and is_maximal(report.witness)
 
 
+class UnfoldedEngine(search._FrontEngine):
+    """The front engine with every region walked as given, sides of length 1 and all."""
+
+    def core(self, dims):
+        return dims
+
+
 def unfolded_report(shape, config):
-    """The front engine on the shape as given, sides of length 1 and all: the
-    body ``extremal_size`` had before it solved shapes without those sides."""
-
-    def solve(counter):
-        engine = search._FrontEngine(config.mode, config.cubic, counter)
-        value = engine.value(shape.dims)
-        return value, [Brick(*c) for c in engine.witness_corners(shape.dims, (0,) * shape.ndim)]
-
-    return search._run(shape, config, "front", solve)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_FrontEngine", UnfoldedEngine)
+        return extremal_size(shape, config)
 
 
+# Every axis order with d <= 4, sides <= 6 and at most the front cap of
+# bricks, both modes; cubic only where a side is 1.
 UNIT_SIDE_JOBS = [
     (dims, mode, cubic)
     for d in range(1, 5)
     for dims in itertools.product(range(1, 7), repeat=d)
-    if 1 in dims and brick_count(Shape(dims)) <= ENGINES["front"]
+    if brick_count(Shape(dims)) <= ENGINES["front"]
     for mode in ("min", "max")
     for cubic in (False, True)
+    if not cubic or 1 in dims
 ]
+
+
+def test_axis_assignment_leaves_extra_unit_sides_unpaired():
+    assert search._axis_assignment((3, 2, 3), (3, 3, 2)) == (0, 2, 1)
+    assert search._axis_assignment((5, 4), (4, 1, 5, 1)) == (1, None, 0, None)
+    assert search._axis_assignment((1,), (1, 1, 1)) == (0, None, None)
 
 
 @pytest.mark.parametrize("node_cap", [DEFAULT_NODE_CAP, 50, 300, 2000])
 def test_a_unit_side_run_equals_the_unfolded_walk(node_cap):
-    """Dropping the sides of length 1 keeps the value, the witness, the counts
-    and where a node cap stops the run."""
+    """Dropping the sides of length 1 in every region keeps the value, the
+    witness, the counts and where a node cap stops the run."""
     for dims, mode, cubic in UNIT_SIDE_JOBS:
         config = SearchConfig(mode=mode, cubic=cubic, node_cap=node_cap)
         folded = outcome(lambda: extremal_size(Shape(dims), config))
