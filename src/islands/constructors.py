@@ -37,7 +37,7 @@ def nested_min_system(shape: Shape) -> IslandSystem:
     return IslandSystem(shape, bricks)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def maximal_segment_systems(m: int) -> tuple[frozenset[Interval], ...]:
     """Every maximal island system of the segment [0, m], as interval sets.
 

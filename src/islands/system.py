@@ -102,9 +102,12 @@ def max_elements(system: IslandSystem) -> list[Brick]:
     return [rest[i] for i in sorted(found)]
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _universe_masks(shape: Shape, cubic: bool) -> IntervalMasks:
-    """The universe's masks, streamed from its corners; recent shapes are kept."""
+    """The universe's masks, built once per process: one table per distinct
+    ``(shape, cubic)`` queried, of about ``2 d m n`` bits for ``n`` bricks and
+    largest side ``m`` (0.25 MB for ``5x5x5x5``, about 4 MB for ``12x12x12``).
+    """
     return IntervalMasks(shape, brick_corners(shape, cubic))
 
 
@@ -132,10 +135,7 @@ def is_maximal(system: IslandSystem) -> bool:
     """True iff no brick can be added.
 
     ANDs each member's compatibility mask from the universe's
-    :class:`~islands.geometry.IntervalMasks` into the non-members.  The masks
-    take about ``2 d m n`` bits for ``n`` bricks and largest side ``m`` (under
-    0.5 MB for ``5x5x5x5``, n = 50625); the universe itself is never held.
-    The masks of the 64 most recent ``(shape, cubic)`` pairs are kept.
+    :class:`~islands.geometry.IntervalMasks` table into the non-members.
     """
     return _addable_mask(system) == 0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from islands import (
     IslandSystem,
+    SearchConfig,
     Shape,
     addable_bricks,
     brick_count,
@@ -14,6 +15,7 @@ from islands import (
     contains,
     enumerate_bricks,
     enumerate_maximal_systems,
+    flat_extremal_size,
     gap_profiles,
     is_laminar,
     is_maximal,
@@ -23,6 +25,7 @@ from islands import (
     restrict,
     subdivision_system,
 )
+from islands import system as system_module
 
 from conftest import B, laminar_systems
 
@@ -177,6 +180,34 @@ class TestAgainstScalarScan:
             expected = scalar_addable(case)
             assert addable_bricks(case) == expected
             assert is_maximal(case) == (not expected)
+
+
+class TestUniverseMasks:
+    def test_each_universe_table_is_built_once(self, monkeypatch):
+        # 69 canonical shapes with d <= 4 and sides <= 4: more universes than a
+        # 64-slot LRU holds, so one cycling through them would rebuild every table
+        built = []
+        real = system_module.IntervalMasks
+
+        def counting(shape, corners):
+            built.append(shape)
+            return real(shape, corners)
+
+        shapes = [
+            Shape(dims)
+            for d in range(1, 5)
+            for dims in itertools.combinations_with_replacement(range(4, 0, -1), d)
+        ]
+        assert len(shapes) == 69
+        system_module._universe_masks.cache_clear()
+        monkeypatch.setattr(system_module, "IntervalMasks", counting)
+        for _ in range(2):
+            for shape in shapes:
+                assert is_maximal(nested_min_system(shape))
+        assert built == shapes
+        # the flat walk reads the same (4, 3) table
+        flat_extremal_size(Shape((4, 3)), SearchConfig(mode="max", brick_count_cap=60))
+        assert len(built) == 69
 
 
 class TestRestrict:
