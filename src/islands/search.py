@@ -27,6 +27,7 @@ against, and still check fronts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -39,7 +40,7 @@ from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, 
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_masks
 
-ENGINE_VERSION = "5"
+ENGINE_VERSION = "6"
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -139,17 +140,18 @@ class _Region:
     the front.  Both rows are read off the candidates' ``IntervalMasks``.
     ``sides[j]`` is c_j's own shape.
 
-    With ``lattice``, ``points[j]`` is c_j's lattice points as a mask over the
-    region's: point ``x`` is bit ``sum(x_i * stride_i)``, so the mask is the
-    product of one run of bits per axis, a product with no carries, and is
-    built as the mask of a box of c_j's sides at the origin, shifted to c_j's
-    lower corner.  ``reach[j]`` is the OR of ``points[u]`` over every
-    ``u >= j`` (``reach[n]`` is 0).  Without ``lattice`` both are all 0.
+    ``points[j]`` is c_j's lattice points as a mask over the region's: point
+    ``x`` is bit ``sum(x_i * stride_i)``, so the mask is the product of one run
+    of bits per axis, a product with no carries, and is built as the mask of
+    a box of c_j's sides at the origin, shifted to c_j's lower corner.
+    ``reach[j]`` is the OR of ``points[u]`` over every ``u >= j`` (``reach[n]``
+    is 0); only the max bound reads them.  A table is built once per process
+    by :func:`_region` and shared by both modes.
     """
 
     __slots__ = ("corners", "disj", "keep", "all_mask", "sides", "points", "reach")
 
-    def __init__(self, dims: tuple[int, ...], cubic: bool, lattice: bool):
+    def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
         full = ((0,) * len(dims), shape.dims)
         corners = [c for c in brick_corners(shape, cubic) if c != full]
@@ -160,16 +162,22 @@ class _Region:
         self.keep = [(around | apart) & ~(1 << j) for j, (_, around, apart) in enumerate(rows)]
         self.all_mask = table.all
         self.sides = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]
-        self.points = [0] * len(corners)
-        if lattice:
-            strides = list(itertools.accumulate((m + 1 for m in dims[:-1]), operator.mul, initial=1))
-            box = {sides: math.prod(((1 << (s + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
-                                    for s, t in zip(sides, strides))
-                   for sides in set(self.sides)}
-            los = [lo for lo, _ in corners]
-            shift = {lo: sum(map(operator.mul, lo, strides)) for lo in dict.fromkeys(los)}
-            self.points = [box[sides] << shift[lo] for sides, lo in zip(self.sides, los)]
+        strides = list(itertools.accumulate((m + 1 for m in dims[:-1]), operator.mul, initial=1))
+        box = {sides: math.prod(((1 << (s + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
+                                for s, t in zip(sides, strides))
+               for sides in set(self.sides)}
+        los = [lo for lo, _ in corners]
+        shift = {lo: sum(map(operator.mul, lo, strides)) for lo in dict.fromkeys(los)}
+        self.points = [box[sides] << shift[lo] for sides, lo in zip(self.sides, los)]
         self.reach = list(itertools.accumulate(reversed(self.points), operator.or_, initial=0))[::-1]
+
+
+@functools.cache
+def _region(dims: tuple[int, ...], cubic: bool) -> _Region:
+    """The region table of ``dims``, built once per process: one per distinct
+    ``(dims, cubic)`` walked, of 0.25 to 0.6 kB per candidate, more with more
+    lattice points (at most 112 kB within the 200-brick cap)."""
+    return _Region(dims, cubic)
 
 
 def _saturated_front_masks(
@@ -179,45 +187,53 @@ def _saturated_front_masks(
     lexicographic order, each with ``partial``, the sum of its members' ``gain``.
 
     Fronts are grown by appending candidates in increasing index order, so
-    each disjoint family is visited once, and a front's next member lies past
-    its highest bit, ``start = members.bit_length()``.  Only families that no
-    candidate is disjoint from (``allowed == 0``) can be saturated.  The walk
-    carries ``breakers``, the AND of the members' ``keep`` rows: the candidates
-    that contain or avoid every member.  Such a family is saturated iff that
-    mask is empty, so a leaf costs one comparison.
+    each disjoint family is visited once, and a front's next member is one of
+    ``ext``, the candidates of ``allowed`` past its highest bit.  Only families
+    that no candidate is disjoint from (``allowed == 0``) can be saturated.
+    The walk carries ``breakers``, the AND of the members' ``keep`` rows: the
+    candidates that contain or avoid every member.  Such a family is saturated
+    iff that mask is empty, so a leaf costs one comparison.
 
     It also carries ``free``, the region's lattice points that no member
     holds, and drops a node with ``allowed != 0`` (every front below has one
-    member more) when ``prune(partial, allowed, free, start)``: the bound of
-    :class:`_FrontEngine`.  With a ``prune`` that never fires, every saturated
-    front is seen.
+    member more, taken from ``ext``) when ``prune(partial, allowed, free, ext)``:
+    the bound of :class:`_FrontEngine`.  With a ``prune`` that never fires,
+    every saturated front is seen.
 
     The walk is one loop over an explicit stack of nodes.  A node pushes its
     children highest index first and each is counted and pruned when popped,
     so nodes are met in the preorder of the recursive walk, and ``prune`` sees
-    the incumbent the consumer has kept from every front yielded before.
+    the incumbent the consumer has kept from every front yielded before.  The
+    count is kept in a local and written back to ``counter`` at each yield
+    and at the end; past the cap, ``counter`` raises at the node
+    ``counter.add(1)`` per node would.
     """
     disj = region.disj
     keep = region.keep
     points = region.points
+    nodes, cap = counter.nodes, counter.cap
     stack = [(0, region.all_mask, region.all_mask, 0, region.reach[0])]
     while stack:
         members, breakers, allowed, partial, free = stack.pop()
-        counter.add(1)
+        nodes += 1
+        if nodes > cap:
+            counter.add(nodes - counter.nodes)  # raises CapExceeded
         if allowed == 0:
             if breakers == 0:
+                counter.nodes = nodes
                 yield members, partial
             continue
         start = members.bit_length()  # one past the last member appended
-        if prune(partial, allowed, free, start):
-            continue
         ext = allowed >> start << start
+        if prune(partial, allowed, free, ext):
+            continue
         while ext:
             v = ext.bit_length() - 1
             high = 1 << v
             stack.append((members | high, breakers & keep[v], allowed & disj[v],
                           partial + gain[v], free ^ points[v]))
             ext ^= high
+    counter.nodes = nodes
 
 
 def front_is_saturated(front: Front, cubic: bool = False) -> bool:
@@ -249,7 +265,7 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     region is held to the front engine's default brick cap.
     """
     check_brick_cap(region, cubic, ENGINES["front"])
-    table = _Region(region.dims, cubic, lattice=False)
+    table = _region(region.dims, cubic)
     bricks = [Brick(lo, hi) for lo, hi in table.corners]
     fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.corners),
                                     lambda *node: False)
@@ -272,13 +288,14 @@ class _FrontEngine:
 
     The front walk is an exact branch-and-bound in integers on ``partial``,
     the members' value sum.  Every front below a node with a disjoint
-    candidate left has more members, all of index ``start`` or more, disjoint
-    from the members so far and from each other.
+    candidate left has more members, all in ``ext``, the disjoint candidates
+    past the last member, disjoint from the members so far and from each other.
 
-    * max prunes when ``partial·den + num·|free & reach[start]| <= best·den``:
-      disjoint closed bricks share no lattice point, so the members to come
-      hold at most that many points, at ``num/den``, the largest gain per
-      lattice point, each.
+    * max prunes when ``partial·den + num·|free & reach[low]| <= best·den``,
+      ``low`` the lowest bit of ``ext`` and ``num/den`` the largest gain per
+      lattice point over ``ext``: disjoint closed bricks share no lattice
+      point, and every member to come lies in ``ext``, so they hold at most
+      that many free points, at ``num/den`` each.  With ``ext`` empty it prunes.
     * min prunes when more unit cells than ``(best − 1 − partial)·a/b`` are
       disjoint from every member: a saturated front takes or meets each such
       cell, and one member meets at most ``a/b`` cells per unit of gain.  A
@@ -346,8 +363,10 @@ class _FrontEngine:
 
     def _walk(self, dims: tuple[int, ...]) -> tuple[tuple, int, tuple]:
         """Solve ``dims`` over its saturated fronts: its memo entry, the nodes of
-        this walk alone, and the sub-shapes it looked up, in order."""
-        region = _Region(dims, self.cubic, lattice=not self.minimizing)
+        this walk alone, and the sub-shapes it looked up, in order.  The region
+        table is the process's shared one; gains, the incumbent and the bound
+        are this walk's."""
+        region = _region(dims, self.cubic)
         subs = tuple(dict.fromkeys(region.sides))
         values = {sides: self.value(sides) for sides in subs}
         gain = [values[sides] for sides in region.sides]
@@ -359,15 +378,21 @@ class _FrontEngine:
             a, b = _largest_ratio(((cells & ~apart).bit_count(), g)
                                   for g, apart in zip(gain, region.disj))
 
-            def prune(partial: int, allowed: int, free: int, start: int) -> bool:
+            def prune(partial: int, allowed: int, free: int, ext: int) -> bool:
                 return (allowed & cells).bit_count() * b > (best - 1 - partial) * a
         else:
             best = max(singles, default=0) - 1
             reach = region.reach
-            num, den = _largest_ratio((g, p.bit_count()) for g, p in zip(gain, region.points))
+            ratios = _ratio_table(gain, [p.bit_count() for p in region.points])
 
-            def prune(partial: int, allowed: int, free: int, start: int) -> bool:
-                return partial * den + num * (free & reach[start]).bit_count() <= best * den
+            def prune(partial: int, allowed: int, free: int, ext: int) -> bool:
+                if ext == 0:
+                    return True
+                for num, den, mask in ratios:  # the last mask holds every candidate
+                    if mask & ext:
+                        break
+                room = (free & reach[(ext & -ext).bit_length() - 1]).bit_count()
+                return partial * den + num * room <= best * den
 
         best_mask = 0
         walked = self.counter.nodes
@@ -400,6 +425,22 @@ def _largest_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         if p * den > num * q:
             num, den = p, q
     return num, den
+
+
+def _ratio_table(gain: list[int], size: list[int]) -> list[tuple[int, int, int]]:
+    """``(num, den, mask)`` per distinct ratio ``gain[j]/size[j]``, in lowest
+    terms and falling order, ``mask`` the candidates whose ratio is
+    ``num/den`` or more; every ``size`` must be 1 or more.  Ordered by
+    cross-multiplying, so the first entry whose mask meets a set of
+    candidates holds their largest ratio."""
+    classes: dict[tuple[int, int], int] = {}
+    for j, (g, p) in enumerate(zip(gain, size)):
+        k = math.gcd(g, p)
+        ratio = g // k, p // k
+        classes[ratio] = classes.get(ratio, 0) | 1 << j
+    order = sorted(classes, key=functools.cmp_to_key(lambda x, y: y[0] * x[1] - x[0] * y[1]))
+    masks = itertools.accumulate(map(classes.get, order), operator.or_)
+    return [(num, den, mask) for (num, den), mask in zip(order, masks)]
 
 
 def _axis_assignment(src_dims: tuple[int, ...],

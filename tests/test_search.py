@@ -211,10 +211,13 @@ class TestExtremalSize:
         with pytest.raises(CapExceeded):
             extremal_size(Shape((9, 9)), SearchConfig(mode="min", brick_count_cap=50))
 
-    def test_node_cap_carries_partial_statistics(self):
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    @pytest.mark.parametrize("node_cap", [5, 50, 300])
+    def test_node_cap_carries_partial_statistics(self, mode, node_cap):
         with pytest.raises(CapExceeded) as err:
-            extremal_size(Shape((3, 3)), SearchConfig(mode="min", node_cap=5))
-        assert err.value.nodes_explored > 0
+            extremal_size(Shape((4, 3)), SearchConfig(mode=mode, node_cap=node_cap))
+        assert err.value.nodes_explored == node_cap + 1
+        assert str(err.value) == f"node cap {node_cap} exceeded"
 
     def test_cubic_mode_in_a_non_cube_box(self):
         # cubes in a 2x1 box: a single cell blocks everything else
@@ -259,19 +262,17 @@ def fresh_outcomes(node_cap):
 
 
 @pytest.fixture
-def region_builds(monkeypatch):
-    """The region tables the front engine builds, one entry each."""
-    built = []
+def walks(monkeypatch):
+    """The regions the front engine walks, one entry each; replays add none."""
+    walked = []
+    real = search._FrontEngine._walk
 
-    class Counted(search._Region):
-        __slots__ = ()
+    def counted(self, dims):
+        walked.append(dims)
+        return real(self, dims)
 
-        def __init__(self, dims, cubic, lattice):
-            built.append(dims)
-            super().__init__(dims, cubic, lattice)
-
-    monkeypatch.setattr(search, "_Region", Counted)
-    return built
+    monkeypatch.setattr(search._FrontEngine, "_walk", counted)
+    return walked
 
 
 class TestSharedStore:
@@ -292,13 +293,13 @@ class TestSharedStore:
                 shared = outcome(lambda: searcher.report(Shape(dims), mode, cubic))
                 assert shared == fresh[dims, mode, cubic], (seed, dims, mode, cubic)
 
-    def test_a_repeated_report_is_replayed_without_a_walk(self, region_builds):
+    def test_a_repeated_report_is_replayed_without_a_walk(self, walks):
         searcher = Searcher(engine="front")
         first = outcome(lambda: searcher.report(Shape((4, 3)), "max"))
-        walked = len(region_builds)
+        walked = len(walks)
         assert walked > 0
         assert outcome(lambda: searcher.report(Shape((4, 3)), "max")) == first
-        assert len(region_builds) == walked
+        assert len(walks) == walked
 
     @pytest.mark.parametrize("before,after", [
         (("max", False), ("min", False)),
@@ -306,57 +307,84 @@ class TestSharedStore:
         (("min", True), ("min", False)),
         (("max", True), ("max", False)),
     ])
-    def test_a_run_feeds_only_its_own_mode_and_cubic_flag(self, region_builds, before, after):
+    def test_a_run_feeds_only_its_own_mode_and_cubic_flag(self, walks, before, after):
         shape = Shape((3, 3, 2))
         searcher = Searcher(engine="front")
         searcher.report(shape, *before)
-        del region_builds[:]
+        del walks[:]
         shared = outcome(lambda: searcher.report(shape, *after))
-        fed = len(region_builds)
-        del region_builds[:]
+        fed = len(walks)
+        del walks[:]
         config = SearchConfig(mode=after[0], cubic=after[1])
         assert shared == outcome(lambda: extremal_size(shape, config))
-        assert fed == len(region_builds) > 0  # every region walked again
+        assert fed == len(walks) > 0  # every region walked again
 
     @pytest.mark.parametrize("dims", [(5, 4, 1), (1, 5, 4), (5, 1, 4, 1)])
-    def test_a_unit_side_twin_is_replayed_without_a_walk(self, region_builds, dims):
+    def test_a_unit_side_twin_is_replayed_without_a_walk(self, walks, dims):
         searcher = Searcher(engine="front")
         searcher.report(Shape((5, 4)), "min")
-        del region_builds[:]
+        del walks[:]
         shared = outcome(lambda: searcher.report(Shape(dims), "min"))
-        assert region_builds == []
+        assert walks == []
         config = SearchConfig(mode="min")
         assert shared == outcome(lambda: extremal_size(Shape(dims), config))
         assert shared == outcome(lambda: unfolded_report(Shape(dims), config))
 
-    def test_a_cubic_unit_side_twin_is_walked(self, region_builds):
+    def test_a_cubic_unit_side_twin_is_walked(self, walks):
         searcher = Searcher(engine="front")
         searcher.report(Shape((3, 3)), "min", cubic=True)
-        del region_builds[:]
+        del walks[:]
         shared = outcome(lambda: searcher.report(Shape((3, 3, 1)), "min", cubic=True))
-        assert len(region_builds) > 0
+        assert len(walks) > 0
         config = SearchConfig(mode="min", cubic=True)
         assert shared == outcome(lambda: unfolded_report(Shape((3, 3, 1)), config))
 
     @pytest.mark.parametrize("mode", ["min", "max"])
-    def test_a_box_replays_its_faces(self, region_builds, mode):
+    def test_a_box_replays_its_faces(self, walks, mode):
         shape = Shape((4, 3, 2))
         fresh = outcome(lambda: extremal_size(shape, SearchConfig(mode=mode)))
-        walked_fresh = len(region_builds)
+        walked_fresh = len(walks)
         searcher = Searcher(engine="front")
         for face in [(4, 3), (3, 4), (4, 2), (3, 2)]:
             searcher.report(Shape(face), mode)
-        walked_faces = len(region_builds)
+        walked_faces = len(walks)
         assert outcome(lambda: searcher.report(shape, mode)) == fresh
-        assert len(region_builds) - walked_faces < walked_fresh
-        assert all(dims == (1,) or 1 not in dims for dims in region_builds)
+        assert len(walks) - walked_faces < walked_fresh
+        assert all(dims == (1,) or 1 not in dims for dims in walks)
 
-    def test_fourteen_unit_sides_walk_only_the_core(self, region_builds):
+    def test_fourteen_unit_sides_walk_only_the_core(self, walks):
         shape = Shape((5, 4) + (1,) * 14)
         report = Searcher(engine="front").report(shape, "max")
-        assert region_builds and all(dims == (1,) or 1 not in dims for dims in region_builds)
-        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 5789, 88)
+        assert walks and all(dims == (1,) or 1 not in dims for dims in walks)
+        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 2964, 88)
         assert report.witness.shape == shape and is_maximal(report.witness)
+
+
+class TestRegionTables:
+    def test_each_region_table_is_built_once_and_shared_by_both_modes(self, walks, monkeypatch):
+        built = []
+
+        class Counted(search._Region):
+            __slots__ = ()
+
+            def __init__(self, dims, cubic):
+                built.append((dims, cubic))
+                super().__init__(dims, cubic)
+
+        search._region.cache_clear()
+        monkeypatch.setattr(search, "_Region", Counted)
+        walked = {}  # every (region, cubic) walked so far, in first-walk order
+        try:
+            # each run walks every region afresh, but builds only the tables
+            # no earlier run of either mode built
+            for mode in ("min", "max", "min", "max"):
+                for dims, cubic in [((4, 3), False), ((3, 2, 2), False), ((4, 4), True), ((3, 3, 3), True)]:
+                    del walks[:]
+                    extremal_size(Shape(dims), SearchConfig(mode=mode, cubic=cubic))
+                    walked.update(dict.fromkeys((region, cubic) for region in walks))
+                    assert built == list(walked), (mode, dims, cubic)
+        finally:
+            search._region.cache_clear()
 
 
 class UnfoldedEngine(search._FrontEngine):
@@ -695,20 +723,22 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, ("5", 14, 5789, 88)),
-        (extremal_size, (4, 3, 2), "max", False, ("5", 13, 4141, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, ("5", 5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, ("5", 9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, ("5", 7, 117, 0)),
-        (flat_extremal_size, (5, 4), "max", False, ("5", 14, 17675, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, ("5", 4, 169, 0)),
-        (extremal_size, (5, 4), "min", False, ("5", 8, 24694, 88)),
-        (extremal_size, (4, 3, 2), "min", False, ("5", 7, 10539, 100)),
-        (extremal_size, (7, 7), "min", True, ("5", 7, 8829, 15)),
-        (extremal_size, (4, 4, 4), "min", True, ("5", 4, 293, 3)),
-        (extremal_size, (4, 1, 3), "max", False, ("5", 9, 436, 32)),
-        (extremal_size, (1, 3, 2), "min", False, ("5", 4, 47, 7)),
-        (extremal_size, (2, 1, 2, 1), "max", False, ("5", 3, 13, 2)),
+        (extremal_size, (5, 4), "max", False, ("6", 14, 2964, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("6", 13, 1991, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("6", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("6", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("6", 7, 117, 0)),
+        (flat_extremal_size, (5, 4), "max", False, ("6", 14, 17675, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("6", 4, 169, 0)),
+        (extremal_size, (5, 4), "min", False, ("6", 8, 24694, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("6", 7, 10539, 100)),
+        (extremal_size, (7, 7), "min", True, ("6", 7, 8829, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("6", 4, 293, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("6", 9, 323, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("6", 4, 47, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("6", 3, 13, 2)),
+        (extremal_size, (6, 6), "max", True, ("6", 13, 11484, 10)),
+        (extremal_size, (7, 7), "max", True, ("6", 21, 34727, 15)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
