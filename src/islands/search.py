@@ -129,7 +129,8 @@ def check_brick_cap(shape: Shape, cubic: bool, cap: int) -> None:
 
 
 class _Region:
-    """Candidate corner pairs ``(lo, hi)`` of one region, the full box left out,
+    """Candidates of one region, the full box left out, c_j as shape ``subs[sub[j]]``
+    at lower corner ``lo[j]`` (``subs``: the distinct shapes, in first-seen order),
     plus the pairwise masks the DFS needs; no Brick is built.
 
     ``disj[j]`` holds, as a bitmask over candidate indices, the candidates
@@ -138,18 +139,17 @@ class _Region:
     when it is in ``keep`` of every member, so the AND of the members'
     ``keep`` rows is the set of candidates that could still sit on top of
     the front.  Both rows are read off the candidates' ``IntervalMasks``.
-    ``sides[j]`` is c_j's own shape.
 
     ``points[j]`` is c_j's lattice points as a mask over the region's: point
     ``x`` is bit ``sum(x_i * stride_i)``, so the mask is the product of one run
     of bits per axis, a product with no carries, and is built as the mask of
-    a box of c_j's sides at the origin, shifted to c_j's lower corner.
-    ``reach[j]`` is the OR of ``points[u]`` over every ``u >= j`` (``reach[n]``
-    is 0); only the max bound reads them.  A table is built once per process
-    by :func:`_region` and shared by both modes.
+    a box of c_j's sides at the origin, once per entry of ``subs``, shifted to
+    c_j's lower corner.  ``reach[j]`` is the OR of ``points[u]`` over every
+    ``u >= j`` (``reach[n]`` is 0); only the max bound reads them.  A table is
+    built once per process by :func:`_region` and shared by both modes.
     """
 
-    __slots__ = ("corners", "disj", "keep", "all_mask", "sides", "points", "reach")
+    __slots__ = ("lo", "sub", "subs", "disj", "keep", "all_mask", "points", "reach")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
@@ -157,26 +157,26 @@ class _Region:
         corners = [c for c in brick_corners(shape, cubic) if c != full]
         table = IntervalMasks(shape, corners)
         rows = [table.relations(lo, hi) for lo, hi in corners]
-        self.corners = corners
+        own = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]  # each candidate's sides
+        self.lo, self.subs = [lo for lo, _ in corners], list(dict.fromkeys(own))
+        self.sub = list(map({s: k for k, s in enumerate(self.subs)}.get, own))
         self.disj = [apart for _, _, apart in rows]
         self.keep = [(around | apart) & ~(1 << j) for j, (_, around, apart) in enumerate(rows)]
         self.all_mask = table.all
-        self.sides = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]
         strides = list(itertools.accumulate((m + 1 for m in dims[:-1]), operator.mul, initial=1))
-        box = {sides: math.prod(((1 << (s + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
-                                for s, t in zip(sides, strides))
-               for sides in set(self.sides)}
-        los = [lo for lo, _ in corners]
-        shift = {lo: sum(map(operator.mul, lo, strides)) for lo in dict.fromkeys(los)}
-        self.points = [box[sides] << shift[lo] for sides, lo in zip(self.sides, los)]
+        box = [math.prod(((1 << (s + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
+                         for s, t in zip(sides, strides))
+               for sides in self.subs]
+        shift = {lo: sum(map(operator.mul, lo, strides)) for lo in dict.fromkeys(self.lo)}
+        self.points = [box[k] << shift[lo] for k, lo in zip(self.sub, self.lo)]
         self.reach = list(itertools.accumulate(reversed(self.points), operator.or_, initial=0))[::-1]
 
 
 @functools.cache
 def _region(dims: tuple[int, ...], cubic: bool) -> _Region:
     """The region table of ``dims``, built once per process: one per distinct
-    ``(dims, cubic)`` walked, of 0.25 to 0.6 kB per candidate, more with more
-    lattice points (at most 112 kB within the 200-brick cap)."""
+    ``(dims, cubic)`` walked, of 0.15 to 0.41 kB per candidate, more with more
+    lattice points (at most 77 kB within the 200-brick cap and d <= 4)."""
     return _Region(dims, cubic)
 
 
@@ -266,8 +266,9 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     """
     check_brick_cap(region, cubic, ENGINES["front"])
     table = _region(region.dims, cubic)
-    bricks = [Brick(lo, hi) for lo, hi in table.corners]
-    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(table.corners),
+    bricks = [Brick(lo, tuple(map(operator.add, lo, table.subs[k])))
+              for lo, k in zip(table.lo, table.sub)]
+    fronts = _saturated_front_masks(table, _Counter(DEFAULT_NODE_CAP), [0] * len(bricks),
                                     lambda *node: False)
     return (Front(region, tuple(mask_members(members, bricks))) for members, _ in fronts)
 
@@ -306,16 +307,16 @@ class _FrontEngine:
     it, so the incumbent starts one short of the best such gain.  Only fronts
     that cannot strictly beat the incumbent go, so the first optimal front in
     generation order, the witness, is kept.  The walk yields fronts as masks;
-    only the winning one is decoded, once per region, into the memo's corners.
+    only the winning one is decoded, once per region, into ``(lo, sides)`` pairs.
 
-    ``store`` outlives the run: each finished walk leaves there its memo entry,
-    its own node count and the sub-shapes it looked up, keyed by mode, cubic
-    and the core in the order it was walked in, since the front and the count
-    depend on that order; so ``(5, 4, 1)`` replays ``(5, 4)``.  A region missing
-    from the memo but in the store is replayed, not walked: its lookups are
-    made again in order, its nodes are added, and its entry is memoized, so
-    every count, and where a node cap stops the run, comes out as in a run
-    without the store.
+    ``store`` outlives the run: each finished walk leaves there its record
+    ``(value, front, nodes)``, keyed by mode, cubic and the core in the order it
+    was walked in, since the front and the count depend on that order; so
+    ``(5, 4, 1)`` replays ``(5, 4)``.  The memo maps a key to the core this run
+    solved it in.  A region missing from the memo but in the store is replayed,
+    not walked: its table's ``subs`` are looked up again in order and its nodes
+    added, so every count, and where a node cap stops the run, comes out as in
+    a run without the store.
     """
 
     def __init__(self, mode: str, cubic: bool, counter: _Counter, store: dict | None = None):
@@ -323,10 +324,9 @@ class _FrontEngine:
         self.minimizing = mode == "min"
         self.cubic = cubic
         self.counter = counter
-        # key -> (value, best front's corner pairs, dims the front was computed in)
-        self.memo: dict[tuple[int, ...], tuple[int, list, tuple[int, ...]]] = {}
-        # (mode, cubic, dims) -> (memo entry, the nodes of its own walk, the sub-shapes
-        # it looked up, in order); shared by the runs given the same store
+        # key -> the core this run first solved it in
+        self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # (mode, cubic, core) -> (value, front, nodes of its own walk); outlives the run
         self.store = {} if store is None else store
 
     def core(self, dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -344,36 +344,34 @@ class _FrontEngine:
 
     def value(self, dims: tuple[int, ...]) -> int:
         key = self.key(dims)
-        hit = self.memo.get(key)
-        if hit is not None:
+        core = self.memo.get(key)
+        if core is not None:
             self.counter.memo_hits += 1
-            return hit[0]
+            return self.store[self.mode, self.cubic, core][0]
         core = self.core(dims)
         stored = (self.mode, self.cubic, core)
         solved = self.store.get(stored)
         if solved is None:
             solved = self.store[stored] = self._walk(core)
         else:  # replay the lookups and the node count of the walk that solved it
-            _, nodes, subs = solved
-            for sides in subs:
+            for sides in _region(core, self.cubic).subs:
                 self.value(sides)
-            self.counter.add(nodes)
-        self.memo[key] = solved[0]
-        return solved[0][0]
+            self.counter.add(solved[2])
+        self.memo[key] = core
+        return solved[0]
 
-    def _walk(self, dims: tuple[int, ...]) -> tuple[tuple, int, tuple]:
-        """Solve ``dims`` over its saturated fronts: its memo entry, the nodes of
-        this walk alone, and the sub-shapes it looked up, in order.  The region
+    def _walk(self, dims: tuple[int, ...]) -> tuple[int, list, int]:
+        """Solve ``dims`` over its saturated fronts: its value, its best front
+        as ``(lo, sides)`` pairs, and the nodes of this walk alone.  The region
         table is the process's shared one; gains, the incumbent and the bound
         are this walk's."""
         region = _region(dims, self.cubic)
-        subs = tuple(dict.fromkeys(region.sides))
-        values = {sides: self.value(sides) for sides in subs}
-        gain = [values[sides] for sides in region.sides]
+        values = [self.value(sides) for sides in region.subs]
+        gain = [values[k] for k in region.sub]
         singles = [g for g, k in zip(gain, region.keep) if k == 0]
         if self.minimizing:
             best = min(singles, default=sum(gain)) + 1
-            cells = sum(1 << j for j, sides in enumerate(region.sides) if max(sides) == 1)
+            cells = sum(1 << j for j, k in enumerate(region.sub) if max(region.subs[k]) == 1)
             # the most unit cells per unit of gain that one member meets or is
             a, b = _largest_ratio(((cells & ~apart).bit_count(), g)
                                   for g, apart in zip(gain, region.disj))
@@ -399,23 +397,24 @@ class _FrontEngine:
         for members, partial in _saturated_front_masks(region, self.counter, gain, prune):
             if partial < best if self.minimizing else partial > best:
                 best, best_mask = partial, members
-        entry = (self.base(dims) + best, mask_members(best_mask, region.corners), dims)
-        return entry, self.counter.nodes - walked, subs
+        front = [(region.lo[j], region.subs[region.sub[j]])
+                 for j in mask_members(best_mask, range(len(gain)))]
+        return self.base(dims) + best, front, self.counter.nodes - walked
 
     def witness_corners(self, dims: tuple[int, ...], at: tuple[int, ...]) -> Iterator[tuple]:
-        """The witness's corner pairs, translated by ``at``.  A front memoized in
+        """The witness's corner pairs, translated by ``at``.  A front solved in
         other dims is carried over along :func:`_axis_assignment`, and spans
         ``[0, 1]`` on each side of length 1 that its own dims lack."""
-        _, front, entry_dims = self.memo[self.key(dims)]
-        if entry_dims != dims:
-            axes = _axis_assignment(entry_dims, dims)
+        core = self.memo[self.key(dims)]
+        front = self.store[self.mode, self.cubic, core][1]
+        if core != dims:
+            axes = _axis_assignment(core, dims)
             front = [(tuple(0 if j is None else lo[j] for j in axes),
-                      tuple(1 if j is None else hi[j] for j in axes)) for lo, hi in front]
+                      tuple(1 if j is None else sides[j] for j in axes)) for lo, sides in front]
         if self.base(dims):
             yield at, tuple(map(operator.add, at, dims))
-        for lo, hi in front:
-            yield from self.witness_corners(tuple(map(operator.sub, hi, lo)),
-                                            tuple(map(operator.add, at, lo)))
+        for lo, sides in front:
+            yield from self.witness_corners(sides, tuple(map(operator.add, at, lo)))
 
 
 def _largest_ratio(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -480,9 +479,9 @@ def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None)
     ``store`` is a dict, empty at first, that a sweep passes to each of its
     runs, so that a run replays the sub-shapes earlier runs solved instead of
     walking them again.  Per ``(mode, cubic, core)``, ``core`` the walked dims
-    as :meth:`_FrontEngine.core` leaves them, it holds the memo entry, the
-    nodes of that walk and the sub-shapes it looked up, for finished walks
-    only.  A replay counts what the walk counted, so the report, or the
+    as :meth:`_FrontEngine.core` leaves them, it holds one record per
+    finished walk: the value, the best front and the nodes of that walk.
+    A replay counts what the walk counted, so the report, or the
     :class:`~islands.errors.CapExceeded`, is a fresh run's: ``nodes_explored``
     and ``memo_hits`` are a fresh run's counts, not the nodes this call walked.
     """

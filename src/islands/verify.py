@@ -58,9 +58,9 @@ class Searcher:
     disables caching.
 
     With the front engine, every miss passes the searcher's one store to
-    ``extremal_size``: it keeps each sub-shape a run has solved, per mode,
-    cubic flag and axis order, with the node count of its walk and the
-    sub-shapes it looked up, so a later run replays it instead of walking it
+    ``extremal_size``: it keeps one record per sub-shape a run has solved,
+    per mode, cubic flag and axis order: its value, its best front and the
+    node count of its walk, so a later run replays it instead of walking it
     again.  A report, or a ``CapExceeded``, still carries a fresh run's
     ``nodes_explored`` and ``memo_hits``, not the nodes this call walked.
     """

@@ -386,6 +386,35 @@ class TestRegionTables:
         finally:
             search._region.cache_clear()
 
+    def test_a_region_table_decodes_to_its_candidates(self):
+        for dims, cubic in dict.fromkeys((dims, cubic) for dims, _, cubic in STORE_JOBS):
+            table = search._region(dims, cubic)
+            full = ((0,) * len(dims), dims)
+            assert [(lo, tuple(a + s for a, s in zip(lo, table.subs[k])))
+                    for lo, k in zip(table.lo, table.sub)] == [
+                c for c in brick_corners(Shape(dims), cubic) if c != full], (dims, cubic)
+            # distinct shapes in first-seen order, each indexed by some candidate
+            assert all(0 <= k < len(table.subs) for k in table.sub), (dims, cubic)
+            assert list(dict.fromkeys(table.subs[k] for k in table.sub)) == table.subs, (dims, cubic)
+
+
+# sha256 of repr(sorted(fresh_outcomes(cap).items())): every value, witness,
+# node count, memo hit count and cap message of STORE_JOBS under each cap.
+OUTCOME_DIGESTS = {
+    DEFAULT_NODE_CAP: "b6390645b086ab48f2620fd09ed15274dea0aa811fa4ccba8e73d8baebdc7962",
+    300: "d9b43feaf2c8fd652fe063055ee300f93ad11ec3875919a54f60472f71fe6664",
+    50: "c375a3371f02cc7e74c1c700301c5ba886784d975fc8a44cd06a9c3959b2793c",
+    2000: "865e9d8134fd8d0922d6c011905191a2a171ab0d1e0a60f04303a94d1b30d95c",
+}
+
+
+def test_outcome_corpus_is_pinned():
+    # A digest that moves is a changed report; cached reports carry these, so
+    # moving one needs an ENGINE_VERSION bump, as in test_engine_counters_are_pinned.
+    digests = {cap: hashlib.sha256(repr(sorted(fresh_outcomes(cap).items())).encode()).hexdigest()
+               for cap in OUTCOME_DIGESTS}
+    assert (ENGINE_VERSION, digests) == ("6", OUTCOME_DIGESTS)
+
 
 class UnfoldedEngine(search._FrontEngine):
     """The front engine with every region walked as given, sides of length 1 and all."""
