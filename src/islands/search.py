@@ -40,7 +40,7 @@ from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, 
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_masks
 
-ENGINE_VERSION = "6"
+ENGINE_VERSION = "7"
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -138,18 +138,22 @@ class _Region:
     are disjoint from it.  Candidate i breaks a front's saturation exactly
     when it is in ``keep`` of every member, so the AND of the members'
     ``keep`` rows is the set of candidates that could still sit on top of
-    the front.  Both rows are read off the candidates' ``IntervalMasks``.
+    the front.  ``hit[i]`` holds the j != i whose ``keep`` row lacks i: the
+    candidates that meet c_i without lying inside it, the members that would
+    stop i breaking.  All three rows are read off the candidates' ``IntervalMasks``.
 
     ``points[j]`` is c_j's lattice points as a mask over the region's: point
-    ``x`` is bit ``sum(x_i * stride_i)``, so the mask is the product of one run
-    of bits per axis, a product with no carries, and is built as the mask of
-    a box of c_j's sides at the origin, once per entry of ``subs``, shifted to
-    c_j's lower corner.  ``reach[j]`` is the OR of ``points[u]`` over every
+    ``x`` is bit ``sum(x_i * stride_i)`` over the axes longer than 1 (every
+    candidate spans ``[0, 1]`` on an axis of length 1, which would only double
+    every mask and every count), so the mask is the product of one run of bits
+    per axis, a product with no carries, and is built as the mask of a box of
+    c_j's sides at the origin, once per entry of ``subs``, shifted to c_j's
+    lower corner.  ``reach[j]`` is the OR of ``points[u]`` over every
     ``u >= j`` (``reach[n]`` is 0); only the max bound reads them.  A table is
     built once per process by :func:`_region` and shared by both modes.
     """
 
-    __slots__ = ("lo", "sub", "subs", "disj", "keep", "all_mask", "points", "reach")
+    __slots__ = ("lo", "sub", "subs", "disj", "keep", "hit", "all_mask", "points", "reach")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
@@ -162,12 +166,15 @@ class _Region:
         self.sub = list(map({s: k for k, s in enumerate(self.subs)}.get, own))
         self.disj = [apart for _, _, apart in rows]
         self.keep = [(around | apart) & ~(1 << j) for j, (_, around, apart) in enumerate(rows)]
+        self.hit = [table.all & ~(inside | apart) for inside, _, apart in rows]
         self.all_mask = table.all
-        strides = list(itertools.accumulate((m + 1 for m in dims[:-1]), operator.mul, initial=1))
-        box = [math.prod(((1 << (s + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
-                         for s, t in zip(sides, strides))
+        axes = [i for i, m in enumerate(dims) if m > 1]  # every candidate spans [0, 1] on the rest
+        strides = dict(zip(axes, itertools.accumulate((dims[i] + 1 for i in axes), operator.mul,
+                                                      initial=1)))
+        box = [math.prod(((1 << (sides[i] + 1) * t) - 1) // ((1 << t) - 1)  # s + 1 bits, t apart
+                         for i, t in strides.items())
                for sides in self.subs]
-        shift = {lo: sum(map(operator.mul, lo, strides)) for lo in dict.fromkeys(self.lo)}
+        shift = {lo: sum(lo[i] * t for i, t in strides.items()) for lo in dict.fromkeys(self.lo)}
         self.points = [box[k] << shift[lo] for k, lo in zip(self.sub, self.lo)]
         self.reach = list(itertools.accumulate(reversed(self.points), operator.or_, initial=0))[::-1]
 
@@ -175,8 +182,8 @@ class _Region:
 @functools.cache
 def _region(dims: tuple[int, ...], cubic: bool) -> _Region:
     """The region table of ``dims``, built once per process: one per distinct
-    ``(dims, cubic)`` walked, of 0.15 to 0.41 kB per candidate, more with more
-    lattice points (at most 77 kB within the 200-brick cap and d <= 4)."""
+    ``(dims, cubic)`` walked, of 0.20 to 0.48 kB per candidate, more with more
+    lattice points (at most 95 kB within the 200-brick cap and d <= 4)."""
     return _Region(dims, cubic)
 
 
@@ -194,11 +201,17 @@ def _saturated_front_masks(
     candidates that contain or avoid every member.  Such a family is saturated
     iff that mask is empty, so a leaf costs one comparison.
 
+    At a node with ``allowed != 0`` every front below has more members, all
+    taken from ``ext``.  A breaker in ``ext`` can always be cleared, by taking
+    it; a breaker outside ``ext`` is cleared only by a member of its ``hit``
+    row.  So the walk drops the node when some breaker outside ``ext`` has no
+    ``hit`` bit in ``ext``: no front below it can be saturated, and the
+    fronts yielded, and their order, are the walk's without this look-ahead.
+
     It also carries ``free``, the region's lattice points that no member
-    holds, and drops a node with ``allowed != 0`` (every front below has one
-    member more, taken from ``ext``) when ``prune(partial, allowed, free, ext)``:
-    the bound of :class:`_FrontEngine`.  With a ``prune`` that never fires,
-    every saturated front is seen.
+    holds, and drops a node with ``allowed != 0`` when
+    ``prune(partial, allowed, free, ext)``: the bound of :class:`_FrontEngine`.
+    With a ``prune`` that never fires, every saturated front is seen.
 
     The walk is one loop over an explicit stack of nodes.  A node pushes its
     children highest index first and each is counted and pruned when popped,
@@ -210,6 +223,7 @@ def _saturated_front_masks(
     """
     disj = region.disj
     keep = region.keep
+    hit = region.hit
     points = region.points
     nodes, cap = counter.nodes, counter.cap
     stack = [(0, region.all_mask, region.all_mask, 0, region.reach[0])]
@@ -225,7 +239,13 @@ def _saturated_front_masks(
             continue
         start = members.bit_length()  # one past the last member appended
         ext = allowed >> start << start
-        if prune(partial, allowed, free, ext):
+        stuck = breakers & ~ext
+        while stuck:
+            low = stuck & -stuck
+            if hit[low.bit_length() - 1] & ext == 0:
+                break
+            stuck ^= low
+        if stuck or prune(partial, allowed, free, ext):
             continue
         while ext:
             v = ext.bit_length() - 1
@@ -313,10 +333,10 @@ class _FrontEngine:
     ``(value, front, nodes)``, keyed by mode, cubic and the core in the order it
     was walked in, since the front and the count depend on that order; so
     ``(5, 4, 1)`` replays ``(5, 4)``.  The memo maps a key to the core this run
-    solved it in.  A region missing from the memo but in the store is replayed,
-    not walked: its table's ``subs`` are looked up again in order and its nodes
-    added, so every count, and where a node cap stops the run, comes out as in
-    a run without the store.
+    solved it in and that core's record, so a hit is one dict lookup.  A region
+    missing from the memo but in the store is replayed, not walked: its table's
+    ``subs`` are looked up again in order and its nodes added, so every count,
+    and where a node cap stops the run, comes out as in a run without the store.
     """
 
     def __init__(self, mode: str, cubic: bool, counter: _Counter, store: dict | None = None):
@@ -324,8 +344,8 @@ class _FrontEngine:
         self.minimizing = mode == "min"
         self.cubic = cubic
         self.counter = counter
-        # key -> the core this run first solved it in
-        self.memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # key -> (the core this run first solved it in, that core's store record)
+        self.memo: dict[tuple[int, ...], tuple[tuple[int, ...], tuple]] = {}
         # (mode, cubic, core) -> (value, front, nodes of its own walk); outlives the run
         self.store = {} if store is None else store
 
@@ -344,10 +364,10 @@ class _FrontEngine:
 
     def value(self, dims: tuple[int, ...]) -> int:
         key = self.key(dims)
-        core = self.memo.get(key)
-        if core is not None:
+        entry = self.memo.get(key)
+        if entry is not None:
             self.counter.memo_hits += 1
-            return self.store[self.mode, self.cubic, core][0]
+            return entry[1][0]
         core = self.core(dims)
         stored = (self.mode, self.cubic, core)
         solved = self.store.get(stored)
@@ -357,7 +377,7 @@ class _FrontEngine:
             for sides in _region(core, self.cubic).subs:
                 self.value(sides)
             self.counter.add(solved[2])
-        self.memo[key] = core
+        self.memo[key] = core, solved
         return solved[0]
 
     def _walk(self, dims: tuple[int, ...]) -> tuple[int, list, int]:
@@ -405,8 +425,7 @@ class _FrontEngine:
         """The witness's corner pairs, translated by ``at``.  A front solved in
         other dims is carried over along :func:`_axis_assignment`, and spans
         ``[0, 1]`` on each side of length 1 that its own dims lack."""
-        core = self.memo[self.key(dims)]
-        front = self.store[self.mode, self.cubic, core][1]
+        core, (_, front, _) = self.memo[self.key(dims)]
         if core != dims:
             axes = _axis_assignment(core, dims)
             front = [(tuple(0 if j is None else lo[j] for j in axes),

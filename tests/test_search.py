@@ -44,6 +44,35 @@ def front_sets(dims, cubic=False):
     }
 
 
+BRUTE_FORCE_SHAPES = [((3,), False), ((2, 2), False), ((3, 3), True), ((2, 2, 1), False),
+                      ((4, 4), True), ((3, 3, 3), True), ((3, 2, 2), False)]
+
+# (nodes of reference_front_masks, nodes of the front walk) on a region table
+LOOK_AHEAD_NODES = {((5, 4), False): (21967, 1272), ((3, 3, 3), True): (2097, 973)}
+
+
+def reference_front_masks(region):
+    """The front walk with no look-ahead, recursive: every disjoint family of
+    the region's candidates, grown in index order, and kept at a leaf iff no
+    candidate is left in the AND of its members' ``keep`` rows.  Returns the
+    saturated fronts as masks, in walk order, and the nodes visited."""
+    nodes = 0
+
+    def walk(members, breakers, allowed):
+        nonlocal nodes
+        nodes += 1
+        if allowed == 0:
+            if breakers == 0:
+                yield members
+            return
+        for v in range(members.bit_length(), len(region.keep)):
+            if allowed >> v & 1:
+                yield from walk(members | 1 << v, breakers & region.keep[v],
+                                allowed & region.disj[v])
+
+    return list(walk(0, region.all_mask, region.all_mask)), nodes
+
+
 class TestSaturatedFronts:
     def test_single_cell_has_only_the_empty_front(self):
         fronts = list(enumerate_saturated_fronts(Shape((1,))))
@@ -106,18 +135,7 @@ class TestSaturatedFronts:
         with pytest.raises(ValueError):
             Front(shape, (B((0, 0), (1, 1)), B((1, 1), (2, 2))))
 
-    @pytest.mark.parametrize(
-        "dims,cubic",
-        [
-            ((3,), False),
-            ((2, 2), False),
-            ((3, 3), True),
-            ((2, 2, 1), False),
-            ((4, 4), True),
-            ((3, 3, 3), True),
-            ((3, 2, 2), False),
-        ],
-    )
+    @pytest.mark.parametrize("dims,cubic", BRUTE_FORCE_SHAPES)
     def test_generator_matches_brute_force_over_all_disjoint_families(self, dims, cubic):
         from islands import disjoint, enumerate_bricks, front_is_saturated
 
@@ -145,6 +163,19 @@ class TestSaturatedFronts:
     def test_region_cap(self):
         with pytest.raises(CapExceeded):
             list(enumerate_saturated_fronts(Shape((9, 9))))
+
+    @pytest.mark.parametrize("dims,cubic", BRUTE_FORCE_SHAPES + [
+        ((4, 3), False), ((3, 3, 2), False), ((5, 4), False)])
+    def test_look_ahead_drops_no_saturated_front(self, dims, cubic):
+        region = search._region(dims, cubic)
+        counter = search._Counter(DEFAULT_NODE_CAP)
+        walked = [members for members, _ in search._saturated_front_masks(
+            region, counter, [0] * len(region.keep), lambda *node: False)]
+        reference, nodes = reference_front_masks(region)
+        assert walked == reference
+        assert counter.nodes <= nodes
+        if (dims, cubic) in LOOK_AHEAD_NODES:
+            assert (nodes, counter.nodes) == LOOK_AHEAD_NODES[dims, cubic]
 
 
 class TestSearchConfig:
@@ -214,8 +245,9 @@ class TestExtremalSize:
     @pytest.mark.parametrize("mode", ["min", "max"])
     @pytest.mark.parametrize("node_cap", [5, 50, 300])
     def test_node_cap_carries_partial_statistics(self, mode, node_cap):
+        # 5x4 walks 2,475 nodes in min and 1,313 in max, past every cap here
         with pytest.raises(CapExceeded) as err:
-            extremal_size(Shape((4, 3)), SearchConfig(mode=mode, node_cap=node_cap))
+            extremal_size(Shape((5, 4)), SearchConfig(mode=mode, node_cap=node_cap))
         assert err.value.nodes_explored == node_cap + 1
         assert str(err.value) == f"node cap {node_cap} exceeded"
 
@@ -356,7 +388,7 @@ class TestSharedStore:
         shape = Shape((5, 4) + (1,) * 14)
         report = Searcher(engine="front").report(shape, "max")
         assert walks and all(dims == (1,) or 1 not in dims for dims in walks)
-        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 2964, 88)
+        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 1313, 88)
         assert report.witness.shape == shape and is_maximal(report.witness)
 
 
@@ -401,10 +433,10 @@ class TestRegionTables:
 # sha256 of repr(sorted(fresh_outcomes(cap).items())): every value, witness,
 # node count, memo hit count and cap message of STORE_JOBS under each cap.
 OUTCOME_DIGESTS = {
-    DEFAULT_NODE_CAP: "b6390645b086ab48f2620fd09ed15274dea0aa811fa4ccba8e73d8baebdc7962",
-    300: "d9b43feaf2c8fd652fe063055ee300f93ad11ec3875919a54f60472f71fe6664",
-    50: "c375a3371f02cc7e74c1c700301c5ba886784d975fc8a44cd06a9c3959b2793c",
-    2000: "865e9d8134fd8d0922d6c011905191a2a171ab0d1e0a60f04303a94d1b30d95c",
+    DEFAULT_NODE_CAP: "3fd9bbc8f2ad0d299307db7cb8d198c5135029e1048f5cd8eb42fc47c0f65ffe",
+    300: "797a3b4a90e8d5cc0d7e2ef1f29148c668320ef79b0937209781b5ea1961938c",
+    50: "c85523c6c5ff1d197ba679ee228f97bdbc48c2af9da1d24dcf881332c943f043",
+    2000: "ddd637d132efab1ed89ed20575fd2beed91441c599d1a88bed59cef90147899d",
 }
 
 
@@ -413,7 +445,7 @@ def test_outcome_corpus_is_pinned():
     # moving one needs an ENGINE_VERSION bump, as in test_engine_counters_are_pinned.
     digests = {cap: hashlib.sha256(repr(sorted(fresh_outcomes(cap).items())).encode()).hexdigest()
                for cap in OUTCOME_DIGESTS}
-    assert (ENGINE_VERSION, digests) == ("6", OUTCOME_DIGESTS)
+    assert (ENGINE_VERSION, digests) == ("7", OUTCOME_DIGESTS)
 
 
 class UnfoldedEngine(search._FrontEngine):
@@ -534,6 +566,15 @@ class TestReach:
         assert report.value == 7
         assert is_maximal(report.witness)
         assert len(report.witness) == 7
+
+    def test_brick_6x6_min(self):
+        # 18,509,241 nodes without the saturation look-ahead of engine version "7"
+        config = SearchConfig(mode="min", brick_count_cap=441, node_cap=10 ** 5)
+        report = extremal_size(Shape((6, 6)), config)
+        assert report.value == min_brick_system_size(Shape((6, 6))) == 11
+        assert is_laminar(report.witness.bricks)
+        assert is_maximal(report.witness)
+        assert len(report.witness) == 11
 
 
 class TestFlatSearch:
@@ -752,22 +793,22 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, ("6", 14, 2964, 88)),
-        (extremal_size, (4, 3, 2), "max", False, ("6", 13, 1991, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, ("6", 5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, ("6", 9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, ("6", 7, 117, 0)),
-        (flat_extremal_size, (5, 4), "max", False, ("6", 14, 17675, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, ("6", 4, 169, 0)),
-        (extremal_size, (5, 4), "min", False, ("6", 8, 24694, 88)),
-        (extremal_size, (4, 3, 2), "min", False, ("6", 7, 10539, 100)),
-        (extremal_size, (7, 7), "min", True, ("6", 7, 8829, 15)),
-        (extremal_size, (4, 4, 4), "min", True, ("6", 4, 293, 3)),
-        (extremal_size, (4, 1, 3), "max", False, ("6", 9, 323, 32)),
-        (extremal_size, (1, 3, 2), "min", False, ("6", 4, 47, 7)),
-        (extremal_size, (2, 1, 2, 1), "max", False, ("6", 3, 13, 2)),
-        (extremal_size, (6, 6), "max", True, ("6", 13, 11484, 10)),
-        (extremal_size, (7, 7), "max", True, ("6", 21, 34727, 15)),
+        (extremal_size, (5, 4), "max", False, ("7", 14, 1313, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("7", 13, 986, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("7", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("7", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("7", 7, 117, 0)),
+        (flat_extremal_size, (5, 4), "max", False, ("7", 14, 17675, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("7", 4, 169, 0)),
+        (extremal_size, (5, 4), "min", False, ("7", 8, 2475, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("7", 7, 1235, 100)),
+        (extremal_size, (7, 7), "min", True, ("7", 7, 1484, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("7", 4, 240, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("7", 9, 257, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("7", 4, 41, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("7", 3, 13, 2)),
+        (extremal_size, (6, 6), "max", True, ("7", 13, 7840, 10)),
+        (extremal_size, (7, 7), "max", True, ("7", 21, 10399, 15)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
