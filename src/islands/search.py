@@ -133,14 +133,17 @@ class _Region:
     at lower corner ``lo[j]`` (``subs``: the distinct shapes, in first-seen order),
     plus the pairwise masks the DFS needs; no Brick is built.
 
-    ``disj[j]`` holds, as a bitmask over candidate indices, the candidates
-    disjoint from c_j; ``keep[j]`` the candidates i != j that contain c_j or
-    are disjoint from it.  Candidate i breaks a front's saturation exactly
-    when it is in ``keep`` of every member, so the AND of the members'
-    ``keep`` rows is the set of candidates that could still sit on top of
-    the front.  ``hit[i]`` holds the j != i whose ``keep`` row lacks i: the
-    candidates that meet c_i without lying inside it, the members that would
-    stop i breaking.  All three rows are read off the candidates' ``IntervalMasks``.
+    ``later[j]`` holds, as a bitmask over candidate indices, the candidates
+    past j that are disjoint from c_j; ``keep[j]`` the candidates i != j that
+    contain c_j or are disjoint from it.  Candidate i breaks a front's
+    saturation exactly when it is in ``keep`` of every member, so the AND of
+    the members' ``keep`` rows is the set of candidates that could still sit
+    on top of the front.  ``hit[i]`` holds the j != i whose ``keep`` row lacks
+    i: the candidates that meet c_i without lying inside it, the members that
+    would stop i breaking.  All three rows are read off the candidates'
+    ``IntervalMasks``.  ``cells`` is the mask of the unit-cell candidates and
+    ``met[j]`` the number of them that c_j meets or is; only the min bound
+    reads them.
 
     ``points[j]`` is c_j's lattice points as a mask over the region's: point
     ``x`` is bit ``sum(x_i * stride_i)`` over the axes longer than 1 (every
@@ -153,7 +156,8 @@ class _Region:
     built once per process by :func:`_region` and shared by both modes.
     """
 
-    __slots__ = ("lo", "sub", "subs", "disj", "keep", "hit", "all_mask", "points", "reach")
+    __slots__ = ("lo", "sub", "subs", "later", "keep", "hit", "cells", "met", "all_mask", "points",
+                 "reach")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
@@ -164,9 +168,11 @@ class _Region:
         own = [tuple(map(operator.sub, hi, lo)) for lo, hi in corners]  # each candidate's sides
         self.lo, self.subs = [lo for lo, _ in corners], list(dict.fromkeys(own))
         self.sub = list(map({s: k for k, s in enumerate(self.subs)}.get, own))
-        self.disj = [apart for _, _, apart in rows]
+        self.later = [apart >> j + 1 << j + 1 for j, (_, _, apart) in enumerate(rows)]
         self.keep = [(around | apart) & ~(1 << j) for j, (_, around, apart) in enumerate(rows)]
         self.hit = [table.all & ~(inside | apart) for inside, _, apart in rows]
+        self.cells = sum(1 << j for j, k in enumerate(self.sub) if max(self.subs[k]) == 1)
+        self.met = [(self.cells & ~apart).bit_count() for _, _, apart in rows]
         self.all_mask = table.all
         axes = [i for i, m in enumerate(dims) if m > 1]  # every candidate spans [0, 1] on the rest
         strides = dict(zip(axes, itertools.accumulate((dims[i] + 1 for i in axes), operator.mul,
@@ -182,8 +188,8 @@ class _Region:
 @functools.cache
 def _region(dims: tuple[int, ...], cubic: bool) -> _Region:
     """The region table of ``dims``, built once per process: one per distinct
-    ``(dims, cubic)`` walked, of 0.20 to 0.48 kB per candidate, more with more
-    lattice points (at most 95 kB within the 200-brick cap and d <= 4)."""
+    ``(dims, cubic)`` walked, of 0.20 to 0.47 kB per candidate, more with more
+    lattice points (at most 91 kB within the 200-brick cap and d <= 4)."""
     return _Region(dims, cubic)
 
 
@@ -194,23 +200,26 @@ def _saturated_front_masks(
     lexicographic order, each with ``partial``, the sum of its members' ``gain``.
 
     Fronts are grown by appending candidates in increasing index order, so
-    each disjoint family is visited once, and a front's next member is one of
-    ``ext``, the candidates of ``allowed`` past its highest bit.  Only families
-    that no candidate is disjoint from (``allowed == 0``) can be saturated.
-    The walk carries ``breakers``, the AND of the members' ``keep`` rows: the
-    candidates that contain or avoid every member.  Such a family is saturated
-    iff that mask is empty, so a leaf costs one comparison.
+    each disjoint family is visited once.  The walk carries ``ext``, the
+    candidates past the last member disjoint from every member, which holds
+    a front's next member; appending ``v`` ANDs ``later[v]`` into it.  It also
+    carries ``breakers``, the AND of the members' ``keep`` rows: the
+    candidates that contain or avoid every member (a candidate disjoint from
+    every member is one).  A family is saturated iff that mask is empty, so
+    a leaf costs one comparison.
 
-    At a node with ``allowed != 0`` every front below has more members, all
-    taken from ``ext``.  A breaker in ``ext`` can always be cleared, by taking
-    it; a breaker outside ``ext`` is cleared only by a member of its ``hit``
-    row.  So the walk drops the node when some breaker outside ``ext`` has no
+    At any other node every front below has more members, all taken from
+    ``ext``.  A breaker in ``ext`` can always be cleared, by taking it; a
+    breaker outside ``ext`` is cleared only by a member of its ``hit`` row.
+    So the walk drops the node when some breaker outside ``ext`` has no
     ``hit`` bit in ``ext``: no front below it can be saturated, and the
     fronts yielded, and their order, are the walk's without this look-ahead.
+    With ``ext`` empty every breaker is such a one, so this is the walk's
+    only dead-end test.
 
     It also carries ``free``, the region's lattice points that no member
-    holds, and drops a node with ``allowed != 0`` when
-    ``prune(partial, allowed, free, ext)``: the bound of :class:`_FrontEngine`.
+    holds, and drops a node the look-ahead keeps when
+    ``prune(partial, breakers, free, ext)``: the bound of :class:`_FrontEngine`.
     With a ``prune`` that never fires, every saturated front is seen.
 
     The walk is one loop over an explicit stack of nodes.  A node pushes its
@@ -221,38 +230,36 @@ def _saturated_front_masks(
     and at the end; past the cap, ``counter`` raises at the node
     ``counter.add(1)`` per node would.
     """
-    disj = region.disj
+    later = region.later
     keep = region.keep
     hit = region.hit
     points = region.points
     nodes, cap = counter.nodes, counter.cap
     stack = [(0, region.all_mask, region.all_mask, 0, region.reach[0])]
     while stack:
-        members, breakers, allowed, partial, free = stack.pop()
+        members, breakers, ext, partial, free = stack.pop()
         nodes += 1
         if nodes > cap:
             counter.add(nodes - counter.nodes)  # raises CapExceeded
-        if allowed == 0:
-            if breakers == 0:
-                counter.nodes = nodes
-                yield members, partial
+        if breakers == 0:
+            counter.nodes = nodes
+            yield members, partial
             continue
-        start = members.bit_length()  # one past the last member appended
-        ext = allowed >> start << start
         stuck = breakers & ~ext
         while stuck:
             low = stuck & -stuck
             if hit[low.bit_length() - 1] & ext == 0:
                 break
             stuck ^= low
-        if stuck or prune(partial, allowed, free, ext):
+        if stuck or prune(partial, breakers, free, ext):
             continue
-        while ext:
-            v = ext.bit_length() - 1
+        todo = ext
+        while todo:
+            v = todo.bit_length() - 1
             high = 1 << v
-            stack.append((members | high, breakers & keep[v], allowed & disj[v],
+            stack.append((members | high, breakers & keep[v], ext & later[v],
                           partial + gain[v], free ^ points[v]))
-            ext ^= high
+            todo ^= high
     counter.nodes = nodes
 
 
@@ -282,7 +289,8 @@ def enumerate_saturated_fronts(region: Shape, cubic: bool = False) -> Iterator[F
     added on top of the front, so saturated fronts are exactly the possible
     top layers of maximal systems.  The empty front appears only for a
     region with no proper sub-brick, i.e. a single elementary cell.  The
-    region is held to the front engine's default brick cap.
+    region is held to the front engine's default brick cap, and the walk
+    raises :class:`~islands.errors.CapExceeded` past ``DEFAULT_NODE_CAP`` nodes.
     """
     check_brick_cap(region, cubic, ENGINES["front"])
     table = _region(region.dims, cubic)
@@ -308,20 +316,20 @@ class _FrontEngine:
     sorted cores split its lookups into the same classes as sorted dims.
 
     The front walk is an exact branch-and-bound in integers on ``partial``,
-    the members' value sum.  Every front below a node with a disjoint
-    candidate left has more members, all in ``ext``, the disjoint candidates
-    past the last member, disjoint from the members so far and from each other.
+    the members' value sum.  Below a node the look-ahead keeps, ``ext`` is not
+    empty and every front has more members, all in ``ext``.
 
     * max prunes when ``partial·den + num·|free & reach[low]| <= best·den``,
       ``low`` the lowest bit of ``ext`` and ``num/den`` the largest gain per
       lattice point over ``ext``: disjoint closed bricks share no lattice
       point, and every member to come lies in ``ext``, so they hold at most
-      that many free points, at ``num/den`` each.  With ``ext`` empty it prunes.
-    * min prunes when more unit cells than ``(best − 1 − partial)·a/b`` are
-      disjoint from every member: a saturated front takes or meets each such
-      cell, and one member meets at most ``a/b`` cells per unit of gain.  A
-      unit cell is worth 1, a nonempty ``allowed`` holds one, and ``a, b >= 1``,
-      so this fires whenever ``partial + min(gain) >= best``.
+      that many free points, at ``num/den`` each.
+    * min prunes when more than ``(best − 1 − partial)·a/b`` unit cells are
+      breakers, that is, avoid every member (a cell contains no brick but
+      itself): a saturated front takes or meets each such cell, and one member
+      meets at most ``a/b`` cells per unit of gain.  A unit cell is worth 1,
+      each candidate of ``ext`` holds a breaking one, and ``a, b >= 1``, so
+      this fires whenever ``partial + min(gain) >= best``.
 
     ``{j}`` alone is a saturated front iff ``keep[j] == 0``, and the walk meets
     it, so the incumbent starts one short of the best such gain.  Only fronts
@@ -391,21 +399,18 @@ class _FrontEngine:
         singles = [g for g, k in zip(gain, region.keep) if k == 0]
         if self.minimizing:
             best = min(singles, default=sum(gain)) + 1
-            cells = sum(1 << j for j, k in enumerate(region.sub) if max(region.subs[k]) == 1)
+            cells = region.cells
             # the most unit cells per unit of gain that one member meets or is
-            a, b = _largest_ratio(((cells & ~apart).bit_count(), g)
-                                  for g, apart in zip(gain, region.disj))
+            a, b = _largest_ratio(zip(region.met, gain))
 
-            def prune(partial: int, allowed: int, free: int, ext: int) -> bool:
-                return (allowed & cells).bit_count() * b > (best - 1 - partial) * a
+            def prune(partial: int, breakers: int, free: int, ext: int) -> bool:
+                return (breakers & cells).bit_count() * b > (best - 1 - partial) * a
         else:
             best = max(singles, default=0) - 1
             reach = region.reach
             ratios = _ratio_table(gain, [p.bit_count() for p in region.points])
 
-            def prune(partial: int, allowed: int, free: int, ext: int) -> bool:
-                if ext == 0:
-                    return True
+            def prune(partial: int, breakers: int, free: int, ext: int) -> bool:
                 for num, den, mask in ratios:  # the last mask holds every candidate
                     if mask & ext:
                         break

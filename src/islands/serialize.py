@@ -38,6 +38,12 @@ def _typed(value: Any, kind: type) -> Any:
     return value
 
 
+def _count(value: Any) -> int:
+    if _typed(value, int) < 0:
+        raise ValueError(f"expected a count of 0 or more, got {value!r}")
+    return value
+
+
 def system_from_dict(data: dict) -> IslandSystem:
     try:
         shape = Shape(tuple(data["shape"]))
@@ -71,9 +77,9 @@ def report_from_dict(data: dict) -> ExtremalReport:
             mode=data["mode"],
             value=_typed(data["value"], int),
             witness=system_from_dict(data["witness"]),
-            nodes_explored=_typed(data["nodes"], int),
-            memo_hits=_typed(data["memo_hits"], int),
-            elapsed_ms=_typed(data["elapsed_ms"], int),
+            nodes_explored=_count(data["nodes"]),
+            memo_hits=_count(data["memo_hits"]),
+            elapsed_ms=_count(data["elapsed_ms"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed report document: {exc}") from exc

@@ -437,6 +437,7 @@ class TestCacheRows:
 
     @pytest.mark.parametrize("field,value", [
         ("value", "3"), ("nodes", 12.0), ("memo_hits", True), ("cubic", 0),
+        ("nodes", -5), ("memo_hits", -1), ("elapsed_ms", -1),
     ])
     def test_row_with_a_wrongly_typed_field_is_recomputed(self, capsys, tmp_path, field, value):
         code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")

@@ -17,6 +17,8 @@ from islands import (
     brick_count,
     canonical_form,
     compatible,
+    contains,
+    disjoint,
     enumerate_bricks,
     enumerate_maximal_systems,
     enumerate_saturated_fronts,
@@ -51,24 +53,36 @@ BRUTE_FORCE_SHAPES = [((3,), False), ((2, 2), False), ((3, 3), True), ((2, 2, 1)
 LOOK_AHEAD_NODES = {((5, 4), False): (21967, 1272), ((3, 3, 3), True): (2097, 973)}
 
 
+def decoded_candidates(region):
+    """The region table's candidates as Bricks, in index order."""
+    return [Brick(lo, tuple(a + s for a, s in zip(lo, region.subs[k])))
+            for lo, k in zip(region.lo, region.sub)]
+
+
 def reference_front_masks(region):
     """The front walk with no look-ahead, recursive: every disjoint family of
     the region's candidates, grown in index order, and kept at a leaf iff no
-    candidate is left in the AND of its members' ``keep`` rows.  Returns the
-    saturated fronts as masks, in walk order, and the nodes visited."""
+    candidate is left in the AND of its members' ``keep`` rows.  Disjointness
+    comes from the scalar ``disjoint`` on the decoded candidates, not from the
+    table.  Returns the saturated fronts as masks, in walk order, and the
+    nodes visited."""
+    bricks = decoded_candidates(region)
+    disj = [sum(1 << i for i, b in enumerate(bricks) if disjoint(a, b)) for a in bricks]
+    cells = sum(1 << i for i, b in enumerate(bricks) if b.is_cell)
     nodes = 0
 
     def walk(members, breakers, allowed):
         nonlocal nodes
         nodes += 1
+        # the min bound reads breakers & cells in place of allowed & cells
+        assert allowed & cells == breakers & cells
         if allowed == 0:
             if breakers == 0:
                 yield members
             return
-        for v in range(members.bit_length(), len(region.keep)):
+        for v in range(members.bit_length(), len(bricks)):
             if allowed >> v & 1:
-                yield from walk(members | 1 << v, breakers & region.keep[v],
-                                allowed & region.disj[v])
+                yield from walk(members | 1 << v, breakers & region.keep[v], allowed & disj[v])
 
     return list(walk(0, region.all_mask, region.all_mask)), nodes
 
@@ -428,6 +442,20 @@ class TestRegionTables:
             # distinct shapes in first-seen order, each indexed by some candidate
             assert all(0 <= k < len(table.subs) for k in table.sub), (dims, cubic)
             assert list(dict.fromkeys(table.subs[k] for k in table.sub)) == table.subs, (dims, cubic)
+            # every row against the scalar predicates on the decoded candidates
+            bricks = decoded_candidates(table)
+            cells = sum(1 << i for i, b in enumerate(bricks) if b.is_cell)
+            assert table.cells == cells, (dims, cubic)
+            for j, c in enumerate(bricks):
+                later = keep = hit = met = 0
+                for i, b in enumerate(bricks):
+                    apart = disjoint(c, b)
+                    later |= (apart and i > j) << i
+                    keep |= (i != j and (apart or contains(b, c))) << i
+                    hit |= (not (apart or contains(c, b))) << i
+                    met += b.is_cell and not apart
+                assert (table.later[j], table.keep[j], table.hit[j], table.met[j]) == (
+                    later, keep, hit, met), (dims, cubic, j)
 
 
 # sha256 of repr(sorted(fresh_outcomes(cap).items())): every value, witness,
