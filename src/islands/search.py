@@ -211,24 +211,36 @@ def _saturated_front_masks(
     At any other node every front below has more members, all taken from
     ``ext``.  A breaker in ``ext`` can always be cleared, by taking it; a
     breaker outside ``ext`` is cleared only by a member of its ``hit`` row.
-    So the walk drops the node when some breaker outside ``ext`` has no
-    ``hit`` bit in ``ext``: no front below it can be saturated, and the
-    fronts yielded, and their order, are the walk's without this look-ahead.
-    With ``ext`` empty every breaker is such a one, so this is the walk's
-    only dead-end test.
+    So a node is dead when some breaker outside ``ext`` has no ``hit`` bit
+    in ``ext``: no front below it can be saturated.  With ``ext`` empty every
+    breaker is such a one, so this look-ahead is the walk's only dead-end
+    test.  The walk runs it on each child as the child is made, on the
+    child's breakers and ``ext``; a dead child is counted as one node there
+    and never pushed.  Before that, for each breaker ``i`` outside the
+    parent's ``ext``, the children past the highest bit of ``hit[i] & ext``
+    are all dead: such a child is not in ``hit[i]``, so ``i`` stays a breaker,
+    and the child's ``ext`` holds only candidates past it, none in ``hit[i]``.
+    Those children are clipped off and counted with one ``bit_count``.  The
+    root has no breaker outside ``ext``, so every pushed node passed the
+    look-ahead, and the fronts yielded, and their order, are the walk's
+    without it.
 
     It also carries ``free``, the region's lattice points that no member
-    holds, and drops a node the look-ahead keeps when
+    holds, and drops a popped node that is not a leaf when
     ``prune(partial, breakers, free, ext)``: the bound of :class:`_FrontEngine`.
     With a ``prune`` that never fires, every saturated front is seen.
 
     The walk is one loop over an explicit stack of nodes.  A node pushes its
-    children highest index first and each is counted and pruned when popped,
-    so nodes are met in the preorder of the recursive walk, and ``prune`` sees
-    the incumbent the consumer has kept from every front yielded before.  The
-    count is kept in a local and written back to ``counter`` at each yield
-    and at the end; past the cap, ``counter`` raises at the node
-    ``counter.add(1)`` per node would.
+    live children highest index first and each is counted and pruned when
+    popped, so live nodes are met in the preorder of the recursive walk, and
+    ``prune`` sees the incumbent the consumer has kept from every front
+    yielded before.  A dead child is a leaf of the count, met by no yield and
+    no ``prune``, so counting it when its parent is expanded, ahead of its
+    place in preorder, leaves the walk's total as it was.  The count is kept
+    in a local and written back to ``counter`` at each yield, and through
+    ``counter.add`` at the end.  Never behind a one-at-a-time count and equal
+    to it at the end, it passes the cap in the same walk as that count, and
+    the walk raises from its next pop or from its end, with ``cap + 1`` nodes.
     """
     later = region.later
     keep = region.keep
@@ -245,22 +257,31 @@ def _saturated_front_masks(
             counter.nodes = nodes
             yield members, partial
             continue
-        stuck = breakers & ~ext
-        while stuck:
-            low = stuck & -stuck
-            if hit[low.bit_length() - 1] & ext == 0:
-                break
-            stuck ^= low
-        if stuck or prune(partial, breakers, free, ext):
+        if prune(partial, breakers, free, ext):
             continue
         todo = ext
+        stuck = breakers & ~ext
+        while stuck:  # past the last clearer of a breaker out of ext, every child is dead
+            low = stuck & -stuck
+            todo &= (1 << (hit[low.bit_length() - 1] & ext).bit_length()) - 1
+            stuck ^= low
+        nodes += (ext ^ todo).bit_count()
         while todo:
             v = todo.bit_length() - 1
             high = 1 << v
-            stack.append((members | high, breakers & keep[v], ext & later[v],
-                          partial + gain[v], free ^ points[v]))
             todo ^= high
-    counter.nodes = nodes
+            b, e = breakers & keep[v], ext & later[v]
+            stuck = b & ~e
+            while stuck:
+                low = stuck & -stuck
+                if hit[low.bit_length() - 1] & e == 0:
+                    break
+                stuck ^= low
+            if stuck:
+                nodes += 1
+            else:
+                stack.append((members | high, b, e, partial + gain[v], free ^ points[v]))
+    counter.add(nodes - counter.nodes)
 
 
 def front_is_saturated(front: Front, cubic: bool = False) -> bool:
@@ -316,8 +337,13 @@ class _FrontEngine:
     sorted cores split its lookups into the same classes as sorted dims.
 
     The front walk is an exact branch-and-bound in integers on ``partial``,
-    the members' value sum.  Below a node the look-ahead keeps, ``ext`` is not
-    empty and every front has more members, all in ``ext``.
+    the members' value sum.  It asks the bound only about popped nodes with
+    breakers left; each passed the look-ahead when it was pushed, so ``ext``
+    is not empty and every front below has more members, all in ``ext``.  A
+    child the look-ahead kills, singly or in a clipped run past a breaker's
+    last clearer, is counted but never bounded.  The count of a walk is the
+    same as with every child pushed and checked when popped, and so is where
+    a node cap stops the run.
 
     * max prunes when ``partial·den + num·|free & reach[low]| <= best·den``,
       ``low`` the lowest bit of ``ext`` and ``num/den`` the largest gain per

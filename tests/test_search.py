@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,43 @@ def reference_front_masks(region):
                 yield from walk(members | 1 << v, breakers & region.keep[v], allowed & disj[v])
 
     return list(walk(0, region.all_mask, region.all_mask)), nodes
+
+
+def popped_front_masks(region, counter, gain, prune):
+    """``search._saturated_front_masks`` with the look-ahead run on each node
+    when it is popped: every child is pushed, then counted, checked and pruned
+    one at a time.  The reference for the walk's node counts and cap stops."""
+    later = region.later
+    keep = region.keep
+    hit = region.hit
+    points = region.points
+    nodes, cap = counter.nodes, counter.cap
+    stack = [(0, region.all_mask, region.all_mask, 0, region.reach[0])]
+    while stack:
+        members, breakers, ext, partial, free = stack.pop()
+        nodes += 1
+        if nodes > cap:
+            counter.add(nodes - counter.nodes)  # raises CapExceeded
+        if breakers == 0:
+            counter.nodes = nodes
+            yield members, partial
+            continue
+        stuck = breakers & ~ext
+        while stuck:
+            low = stuck & -stuck
+            if hit[low.bit_length() - 1] & ext == 0:
+                break
+            stuck ^= low
+        if stuck or prune(partial, breakers, free, ext):
+            continue
+        todo = ext
+        while todo:
+            v = todo.bit_length() - 1
+            high = 1 << v
+            stack.append((members | high, breakers & keep[v], ext & later[v],
+                          partial + gain[v], free ^ points[v]))
+            todo ^= high
+    counter.nodes = nodes
 
 
 class TestSaturatedFronts:
@@ -190,6 +228,45 @@ class TestSaturatedFronts:
         assert counter.nodes <= nodes
         if (dims, cubic) in LOOK_AHEAD_NODES:
             assert (nodes, counter.nodes) == LOOK_AHEAD_NODES[dims, cubic]
+
+    @pytest.mark.parametrize("dims,cubic", BRUTE_FORCE_SHAPES + [
+        ((4, 3), False), ((3, 3, 2), False), ((5, 4), False), ((6, 6), True)])
+    def test_push_time_look_ahead_walks_as_the_pop_time_one(self, dims, cubic):
+        region = search._region(dims, cubic)
+        gain = [p.bit_count() for p in region.points]  # any gains will do; these vary
+        counter, popped = search._Counter(DEFAULT_NODE_CAP), search._Counter(DEFAULT_NODE_CAP)
+        walked = list(search._saturated_front_masks(region, counter, gain, lambda *node: False))
+        reference = list(popped_front_masks(region, popped, gain, lambda *node: False))
+        assert walked == reference
+        assert counter.nodes == popped.nodes
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_push_time_look_ahead_stops_as_the_pop_time_one_on_any_table(self, data):
+        # The walk's counting needs only ``later[v]`` above v and ``hit`` the
+        # transpose of ``keep``.  A table drawn with nothing else behind it
+        # ends some walks in dead children, which no walk of a region table in
+        # this suite does, so the cap check after the last child runs too.
+        n = data.draw(st.integers(1, 6))
+        rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+        keep = [row & ~(1 << j) for j, row in enumerate(data.draw(rows))]
+        table = types.SimpleNamespace(
+            later=[row >> j + 1 << j + 1 for j, row in enumerate(data.draw(rows))], keep=keep,
+            hit=[sum(1 << j for j in range(n) if j != i and not keep[j] >> i & 1)
+                 for i in range(n)],
+            points=[0] * n, all_mask=(1 << n) - 1, reach=[0] * (n + 1))
+        gain = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+
+        def run(walk, cap):
+            counter = search._Counter(cap)
+            try:
+                return list(walk(table, counter, gain, lambda *node: False)), counter.nodes
+            except CapExceeded as exc:
+                return str(exc), exc.nodes_explored
+
+        total = run(popped_front_masks, DEFAULT_NODE_CAP)[1]
+        for cap in range(1, total + 1):
+            assert run(search._saturated_front_masks, cap) == run(popped_front_masks, cap)
 
 
 class TestSearchConfig:
@@ -516,6 +593,22 @@ def test_a_unit_side_run_equals_the_unfolded_walk(node_cap):
         config = SearchConfig(mode=mode, cubic=cubic, node_cap=node_cap)
         folded = outcome(lambda: extremal_size(Shape(dims), config))
         assert folded == outcome(lambda: unfolded_report(Shape(dims), config)), (dims, mode, cubic)
+
+
+@pytest.mark.parametrize("dims,cubic", [((4, 3), False), ((3, 3, 2), False), ((4, 4), True)],
+                         ids=["4,3", "3,3,2", "4,4-cubic"])
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_every_node_cap_stops_where_the_pop_time_walk_does(monkeypatch, dims, cubic, mode):
+    """Counting a run of dead children in one step keeps each cap's message,
+    ``cap + 1`` nodes and memo hits, on every cap up to the run's total."""
+    def run(node_cap):
+        config = SearchConfig(mode=mode, cubic=cubic, node_cap=node_cap)
+        return outcome(lambda: extremal_size(Shape(dims), config))
+
+    total = run(DEFAULT_NODE_CAP)[2]
+    walked = [run(cap) for cap in range(1, total + 1)]
+    monkeypatch.setattr(search, "_saturated_front_masks", popped_front_masks)
+    assert walked == [run(cap) for cap in range(1, total + 1)]
 
 
 @functools.lru_cache(maxsize=None)
