@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import CapExceeded
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
-from .system import IslandSystem, _sorted_system, _universe_masks
+from .system import IslandSystem, _sorted_system, _universe_table
 
 ENGINE_VERSION = "7"
 
@@ -570,7 +570,7 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
                 room -= 1
             return True
 
-        for mask in _maximal_families(shape, config.cubic, corners, counter, prune):
+        for mask in _maximal_families(shape, config.cubic, counter, prune):
             size = mask.bit_count()
             if size > best if maximizing else size < best:
                 best, best_mask = size, mask
@@ -594,10 +594,11 @@ def _colour_classes(pmask: int, compat: list[int]) -> Iterator[int]:
         yield colour
 
 
-def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: _Counter,
+def _maximal_families(shape: Shape, cubic: bool, counter: _Counter,
                       prune: Callable[[int, int, list[int]], bool]) -> Iterator[int]:
-    """Bron–Kerbosch over ``corners``, the universe of ``(shape, cubic)`` in the order
-    of its cached table in ``system``; yields each maximal family as a mask.
+    """Bron–Kerbosch over the universe of ``(shape, cubic)``, in the order of
+    :func:`~islands.geometry.brick_corners`, with the ``compat`` rows of its
+    cached table in ``system``; yields each maximal family as a mask.
 
     The walk takes the bricks in list order with include/exclude decisions and
     carries three masks: the chosen bricks R, the candidates P still compatible
@@ -615,9 +616,8 @@ def _maximal_families(shape: Shape, cubic: bool, corners: list[tuple], counter: 
     include-first walk, and ``prune`` sees the incumbent the consumer has
     kept from every family yielded before.
     """
-    table = _universe_masks(shape, cubic)
-    compat = [table.compatible(lo, hi) for lo, hi in corners]
-    stack = [(0, table.all, 0)]
+    compat = _universe_table(shape, cubic).compat
+    stack = [(0, (1 << len(compat)) - 1, 0)]
     while stack:
         rmask, pmask, xmask = stack.pop()
         counter.add(1)
@@ -656,6 +656,6 @@ def enumerate_maximal_systems(
     check_brick_cap(shape, cubic, cap)
     corners = list(brick_corners(shape, cubic))
     bricks = [Brick(lo, hi) for lo, hi in corners]
-    families = _maximal_families(shape, cubic, corners, _Counter(DEFAULT_NODE_CAP),
+    families = _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP),
                                  lambda size, pmask, compat: False)
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)

@@ -44,11 +44,19 @@ def _count(value: Any) -> int:
     return value
 
 
+def _brick(entry: Any) -> Brick:
+    # checked before unpacking: a string or an object would unpack into characters or keys
+    if type(entry) is not list or len(entry) != 2 or any(type(c) is not list for c in entry):
+        raise ValueError(f"expected a brick as an array of two arrays, got {entry!r}")
+    lo, hi = entry
+    return Brick(tuple(lo), tuple(hi))
+
+
 def system_from_dict(data: dict) -> IslandSystem:
     try:
         shape = Shape(tuple(data["shape"]))
         cubic = _typed(data["cubic"], bool)
-        bricks = [Brick(tuple(lo), tuple(hi)) for lo, hi in data["bricks"]]
+        bricks = [_brick(entry) for entry in data["bricks"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system document: {exc}") from exc
     return IslandSystem(shape, bricks, cubic=cubic)

@@ -111,6 +111,67 @@ def _universe_masks(shape: Shape, cubic: bool) -> IntervalMasks:
     return IntervalMasks(shape, brick_corners(shape, cubic))
 
 
+class _UniverseTable:
+    """Per-brick rows of one universe, for the oracle paths that list its
+    maximal systems.  Brick ``k`` of :func:`brick_corners`' order is bit
+    ``k``; ``index`` maps its corners to ``k``.  ``inside[k]`` holds the
+    bricks inside brick ``k`` (itself included), ``containers[k]`` its strict
+    containers and ``compat[k]`` the bricks nested with or disjoint from it,
+    itself left out, all read off :class:`IntervalMasks`.  ``runs[i][k]`` is
+    ``(lo_i, hi_i, is_cell)``, brick ``k``'s run on a box edge along axis
+    ``i``; ``full`` is the full brick's bit, 0 when it is not in the universe.
+
+    The table is n rows of n bits three times over, so only callers that
+    have passed a brick cap build it; ``check`` keeps to the scalar
+    functions of this module.  :meth:`edges` is built on first use only.
+    """
+
+    __slots__ = ("shape", "cubic", "index", "inside", "containers", "compat", "runs", "full",
+                 "_edges")
+
+    def __init__(self, shape: Shape, cubic: bool):
+        masks = _universe_masks(shape, cubic)
+        corners = list(brick_corners(shape, cubic))
+        self.shape, self.cubic = shape, cubic
+        self.index = {c: k for k, c in enumerate(corners)}
+        self.inside, self.containers, self.compat = [], [], []
+        for k, (lo, hi) in enumerate(corners):
+            inside, around, apart = masks.relations(lo, hi)
+            own = 1 << k
+            self.inside.append(inside)
+            self.containers.append(around & ~own)
+            self.compat.append((inside | around | apart) & ~own)
+        cells = [all(h - a == 1 for a, h in zip(lo, hi)) for lo, hi in corners]
+        self.runs = [[(lo[i], hi[i], cell) for (lo, hi), cell in zip(corners, cells)]
+                     for i in range(shape.ndim)]
+        full = self.index.get(((0,) * shape.ndim, shape.dims))
+        self.full = 0 if full is None else 1 << full
+        self._edges = None
+
+    def edges(self) -> list[list[int]]:
+        """Per axis ``i``, the masks of the bricks on each box edge along ``i``,
+        in :func:`gap_profiles`' order; :data:`EDGE_CAP` is checked as there."""
+        if self._edges is None:
+            _check_edge_cap(self.shape)
+            masks = _universe_masks(self.shape, self.cubic)
+            faces = [(masks.all & ~starts_from[1], masks.all & ~ends_before[m])
+                     for (starts_from, ends_before), m in zip(masks.axes, self.shape.dims)]
+            self._edges = []
+            for free in range(self.shape.ndim):
+                on_edge = [masks.all]
+                for j, face in enumerate(faces):
+                    if j != free:
+                        on_edge = [mask & side for mask in on_edge for side in face]
+                self._edges.append(on_edge)
+        return self._edges
+
+
+@functools.cache
+def _universe_table(shape: Shape, cubic: bool) -> _UniverseTable:
+    """The universe's :class:`_UniverseTable`, built once per process."""
+    return _UniverseTable(shape, cubic)
+
+
 def _addable_mask(system: IslandSystem) -> int:
     """The mask of the universe's addable bricks."""
     table = _universe_masks(system.shape, system.cubic)
@@ -229,6 +290,12 @@ class GapProfile:
     gaps: tuple[EdgeGap, ...]
 
 
+def _check_edge_cap(shape: Shape) -> None:
+    edges = shape.ndim * 2 ** (shape.ndim - 1)
+    if edges > EDGE_CAP:
+        raise CapExceeded(f"edge cap {EDGE_CAP} exceeded: the box has {edges} edges")
+
+
 def gap_profiles(shape: Shape, members: list[Brick]) -> list[GapProfile]:
     """Edge coverage profiles for all ``d * 2^(d-1)`` edges of the box.
 
@@ -239,11 +306,9 @@ def gap_profiles(shape: Shape, members: list[Brick]) -> list[GapProfile]:
     with more than :data:`EDGE_CAP` edges raises
     :class:`~islands.errors.CapExceeded` before any profile is built.
     """
+    _check_edge_cap(shape)
     dims = shape.dims
     d = len(dims)
-    edges = d * 2 ** (d - 1)
-    if edges > EDGE_CAP:
-        raise CapExceeded(f"edge cap {EDGE_CAP} exceeded: the box has {edges} edges")
     profiles = []
     for free in range(d):
         others = [j for j in range(d) if j != free]

@@ -31,7 +31,7 @@ from .search import (
     flat_extremal_size,
 )
 from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
-from .system import IslandSystem, gap_profiles, max_elements, non_maximal_restrictions
+from .system import IslandSystem, _universe_table
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -208,10 +208,9 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
     a member.  onedim: every maximal system of a segment of length m has
     exactly m members (checked for m up to ``ONEDIM_MAX``).
 
-    The corner and gap facts come from one set of edge profiles
-    (:func:`_structure_violations`), the restriction check from the universe's
-    masks (:func:`~islands.system.non_maximal_restrictions`); the tests hold
-    them to scalar corner counts, ``restrict`` and ``is_maximal``.
+    The corner, gap and restriction counts are read off the universe's cached
+    table (:func:`_structure_violations`); the tests hold them to scalar corner
+    counts, ``gap_profiles`` of ``max_elements``, ``restrict`` and ``is_maximal``.
     """
     cases = [(shape, ("corners", "gaps", "restrict"), _structure_violations) for shape in shapes]
     cases += [(Shape((m,)), ("onedim",), lambda system: (len(system) != system.shape.dims[0],))
@@ -231,20 +230,73 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
 
 
 def _structure_violations(system: IslandSystem) -> tuple[int, int, int]:
-    """The system's corner, gap and restriction violations.  One set of edge
-    profiles of the maximal members feeds the corner and the gap count: a
+    """The system's corner, gap and restriction violations, read off its
+    universe's :func:`~islands.system._universe_table` with the system as a
+    mask over the universe.
+
+    The top members, which :func:`~islands.system.max_elements` lists, are the
+    members other than the full brick with no strict container among them.
+    With two or more of them, each box edge's runs are the top members on that
+    edge, sorted and walked under the rules of
+    :func:`~islands.system.gap_profiles`: a gap counts when it is longer than
+    2, has a ``None`` flank, or has length 2 between two elementary cells.  A
     member holds a corner cell iff it touches that corner's face on every axis,
     so the cell is empty iff the axis-0 edge gap at its end has a ``None``
-    flank.  The count is per corner vector: a side of length 1 counts twice."""
-    members = max_elements(system)
+    flank.  The count is per corner vector: a side of length 1 counts twice,
+    and an edge with no run has one gap with two ``None`` flanks.  A member
+    ``b`` restricts to a non-maximal system iff some brick inside ``b`` is
+    compatible with every member inside ``b``, as in
+    :func:`~islands.system.non_maximal_restrictions`; a missing full brick
+    counts once more.
+    """
+    table = _universe_table(system.shape, system.cubic)
+    index, inside, compat = table.index, table.inside, table.compat
+    family = 0
+    for b in system.bricks:
+        family |= 1 << index[b.lo, b.hi]
+    rest = family & ~table.full
+    top = 0
+    bits = rest
+    while bits:
+        low = bits & -bits
+        if not table.containers[low.bit_length() - 1] & rest:
+            top |= low
+        bits ^= low
     corners = gaps = 0
-    if len(members) > 1:
-        for profile in gap_profiles(system.shape, members):
-            for gap in profile.gaps:
-                flanks = (gap.left_elementary, gap.right_elementary)
-                if profile.free_dim == 0:
-                    corners += flanks.count(None)
-                gaps += gap.length > 2 or None in flanks or gap.length == 2 and all(flanks)
-    restricts = len(non_maximal_restrictions(system))
-    restricts += system.shape.full_brick() not in system.bricks
+    if top & (top - 1):
+        for free, (edges, runs_at, m) in enumerate(zip(table.edges(), table.runs,
+                                                       system.shape.dims)):
+            for edge in edges:
+                on = edge & top
+                if not on:  # one gap, two None flanks
+                    gaps += 1
+                    corners += 2 if free == 0 else 0
+                    continue
+                runs = []
+                while on:
+                    low = on & -on
+                    runs.append(runs_at[low.bit_length() - 1])
+                    on ^= low
+                runs.sort()
+                pos, left = 0, None
+                for a, b, cell in runs:
+                    if a > pos:
+                        gap = a - pos
+                        gaps += left is None or gap > 2 or gap == 2 and left and cell
+                    pos, left = max(pos, b), cell
+                gaps += pos < m
+                if free == 0:
+                    corners += (runs[0][0] > 0) + (pos < m)
+    restricts = int(not family & table.full)
+    bits = family
+    while bits:
+        low = bits & -bits
+        addable = inside[low.bit_length() - 1]
+        members = family & addable
+        while members and addable:
+            member = members & -members
+            addable &= compat[member.bit_length() - 1]
+            members ^= member
+        restricts += addable != 0
+        bits ^= low
     return corners, gaps, restricts

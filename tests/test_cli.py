@@ -20,8 +20,9 @@ from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
 from islands.verify import FAIL, SKIPPED, Searcher, classification_rows, corollary_rows
 from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, enumerate_bricks,
-                     flat_extremal_size, max_elements, maximal_segment_systems,
-                     minimal_maximal_systems, nested_min_system)
+                     flat_extremal_size, gap_profiles, is_maximal, max_elements,
+                     maximal_segment_systems, minimal_maximal_systems, nested_min_system,
+                     restrict)
 
 from conftest import B, child_env
 
@@ -258,20 +259,30 @@ class TestCheck:
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "cap exceeded"
 
-    @pytest.mark.parametrize("document", [
+    @pytest.mark.parametrize("document, detail", [
         # the string "false" is truthy: read as a cubic system this one is maximal
-        '{"shape":[2,2],"cubic":"false","bricks":[[[0,0],[2,2]],[[0,0],[1,1]]]}',
-        '{"shape":[2.7,2],"cubic":false,"bricks":[[[0,0],[2,2]]]}',
-        '{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[2.9,2]]]}',
-        '{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[true,2]]]}',
+        ('{"shape":[2,2],"cubic":"false","bricks":[[[0,0],[2,2]],[[0,0],[1,1]]]}',
+         "expected a JSON bool, got 'false'"),
+        ('{"shape":[2.7,2],"cubic":false,"bricks":[[[0,0],[2,2]]]}',
+         "side lengths must be positive integers"),
+        ('{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[2.9,2]]]}',
+         "need integers 0 <= lo_i < hi_i"),
+        ('{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[true,2]]]}',
+         "need integers 0 <= lo_i < hi_i"),
+        # unpacked as they stand, an object gives its keys and a string its characters
+        ('{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[2,2]],{"lo":[0,0],"hi":[1,1]}]}',
+         "expected a brick as an array of two arrays, got {'lo': [0, 0], 'hi': [1, 1]}"),
+        ('{"shape":[2,2],"cubic":false,"bricks":[[[0,0],[2,2]],"ab"]}',
+         "expected a brick as an array of two arrays, got 'ab'"),
     ])
-    def test_wrongly_typed_fields_are_parse_errors(self, capsys, tmp_path, document):
+    def test_wrongly_typed_fields_are_parse_errors(self, capsys, tmp_path, document, detail):
         path = tmp_path / "typed.json"
         path.write_text(document)
         code, out, err = run(capsys, "check", str(path))
         assert code == 2
         assert out == ""
         assert "malformed system document" in err
+        assert detail in err
 
 
 class TestRoundTrip:
@@ -776,23 +787,30 @@ class TestVerify:
             zip(("corners", "gaps", "restrict"), expected))
 
     def test_corner_row_matches_a_scalar_count_over_arbitrary_families(self, monkeypatch):
-        def scalar_corners(system):
+        # the gaps and restrict rows too, each against its scalar reference
+        def scalar_counts(system):
             members = max_elements(system)
-            if len(members) <= 1:
-                return 0
-            dims = system.shape.dims
-            empty = 0
-            for corner in itertools.product((0, 1), repeat=len(dims)):
-                lo = tuple(0 if side == 0 else m - 1 for side, m in zip(corner, dims))
-                cell = B(lo, tuple(a + 1 for a in lo))
-                empty += not any(contains(member, cell) for member in members)
-            return empty
+            corners = gaps = 0
+            if len(members) > 1:
+                dims = system.shape.dims
+                for corner in itertools.product((0, 1), repeat=len(dims)):
+                    lo = tuple(0 if side == 0 else m - 1 for side, m in zip(corner, dims))
+                    cell = B(lo, tuple(a + 1 for a in lo))
+                    corners += not any(contains(member, cell) for member in members)
+                for profile in gap_profiles(system.shape, members):
+                    for gap in profile.gaps:
+                        flanks = (gap.left_elementary, gap.right_elementary)
+                        gaps += gap.length > 2 or None in flanks or (
+                            gap.length == 2 and all(flanks))
+            restricts = sum(not is_maximal(restrict(system, b)) for b in system)
+            restricts += system.shape.full_brick() not in system.bricks
+            return corners, gaps, restricts
 
         rng = random.Random(13)
         shapes = [Shape(dims) for d in range(1, 4)
                   for dims in itertools.product((1, 2, 3), repeat=d)]
         shapes += [Shape((2, 1, 2, 2)), Shape((1, 2, 2, 1))]
-        nonzero = 0
+        nonzero = [0, 0, 0]
         for _ in range(20):
             for shape in shapes:
                 universe = list(enumerate_bricks(shape))
@@ -801,10 +819,20 @@ class TestVerify:
                 system = IslandSystem(shape, bricks + [shape.full_brick()] * rng.randint(0, 1))
                 monkeypatch.setattr("islands.verify.enumerate_maximal_systems",
                                     lambda s, cap: iter([system] if s == shape else []))
-                (row,) = [r for r in corollary_rows([shape]) if r["mode"] == "corners"]
-                assert row["actual"] == scalar_corners(system), system
-                nonzero += row["actual"] > 0
-        assert nonzero > 100
+                rows = corollary_rows([shape])[:3]
+                actual = tuple(row["actual"] for row in rows)
+                assert actual == scalar_counts(system), system
+                nonzero = [n + (count > 0) for n, count in zip(nonzero, actual)]
+        assert min(nonzero) > 100, nonzero
+
+    def test_no_edge_table_is_built_without_two_top_members(self):
+        # 3 bricks and 2,359,296 edges: no maximal system has two top members, so
+        # the edge cap never comes up and no per-edge mask may be built
+        started = time.perf_counter()
+        rows = corollary_rows([Shape((2,) + (1,) * 17)])[:3]
+        assert time.perf_counter() - started < 5
+        assert [(row["mode"], row["status"]) for row in rows] == [
+            ("corners", "PASS"), ("gaps", "PASS"), ("restrict", "PASS")]
 
     def test_corollary_sweep_output_is_pinned(self, capsys):
         # sha256 of the rows as the scalar restrict/is_maximal check printed them
