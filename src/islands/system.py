@@ -122,8 +122,8 @@ class _UniverseTable:
     ``i``; ``full`` is the full brick's bit, 0 when it is not in the universe.
 
     The table is n rows of n bits three times over, so only callers that
-    have passed a brick cap build it; ``check`` keeps to the scalar
-    functions of this module.  :meth:`edges` is built on first use only.
+    have passed a brick cap build it, and ``check`` never does.  :meth:`edges`
+    is built on first use only.
     """
 
     __slots__ = ("shape", "cubic", "index", "inside", "containers", "compat", "runs", "full",

@@ -230,24 +230,18 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
 
 
 def _structure_violations(system: IslandSystem) -> tuple[int, int, int]:
-    """The system's corner, gap and restriction violations, read off its
-    universe's :func:`~islands.system._universe_table` with the system as a
-    mask over the universe.
+    """The system's corner, gap and restriction violations, with the system
+    as a mask over its universe's :func:`~islands.system._universe_table`.
 
-    The top members, which :func:`~islands.system.max_elements` lists, are the
-    members other than the full brick with no strict container among them.
-    With two or more of them, each box edge's runs are the top members on that
-    edge, sorted and walked under the rules of
-    :func:`~islands.system.gap_profiles`: a gap counts when it is longer than
-    2, has a ``None`` flank, or has length 2 between two elementary cells.  A
-    member holds a corner cell iff it touches that corner's face on every axis,
-    so the cell is empty iff the axis-0 edge gap at its end has a ``None``
-    flank.  The count is per corner vector: a side of length 1 counts twice,
-    and an edge with no run has one gap with two ``None`` flanks.  A member
-    ``b`` restricts to a non-maximal system iff some brick inside ``b`` is
-    compatible with every member inside ``b``, as in
-    :func:`~islands.system.non_maximal_restrictions`; a missing full brick
-    counts once more.
+    The top members (:func:`~islands.system.max_elements`) have no strict
+    container among the members, the full brick left out.  With two or more,
+    each box edge's runs are the top members on it, walked under the rules of
+    :func:`~islands.system.gap_profiles`.  A corner cell is empty iff the
+    axis-0 edge gap at its end has a ``None`` flank, counted per corner vector:
+    a side of length 1 counts twice, and an edge with no run is one gap with
+    two ``None`` flanks.  The restriction count is
+    :func:`~islands.system.non_maximal_restrictions`' rule on the table's rows,
+    plus one for a missing full brick.
     """
     table = _universe_table(system.shape, system.cubic)
     index, inside, compat = table.index, table.inside, table.compat
