@@ -12,7 +12,8 @@ Two engines compute the same quantities by deliberately different routes:
 * :func:`flat_extremal_size` never decomposes: it runs Bron–Kerbosch over
   the lexicographic brick list with include/exclude decisions, and its prune
   of branches that cannot reach a maximal family also decides maximality.
-  A size bound drops branches that cannot beat the best family found so far.
+  A size bound drops branches that cannot beat the best family found so far;
+  max takes that best from a maximum-clique search before it walks.
 
 The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
@@ -40,7 +41,7 @@ from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, 
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_table
 
-ENGINE_VERSION = "7"
+ENGINE_VERSION = "8"
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -552,13 +553,18 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     one brick of P and at most one of each of its :func:`_colour_classes`: max
     prunes on ``|R| + classes <= best``, min on ``|R| + 1 >= best``.  Only branches
     that cannot strictly beat the incumbent go, so the first extreme family in
-    walk order, the witness, is kept.  Restricted to small brick universes by default.
+    walk order, the witness, is kept.  A largest laminar family is maximal, as
+    any brick it could take would make it larger, so max takes its optimum from
+    :func:`_largest_clique` first and walks from ``best = opt − 1`` to its first
+    family of size ``opt``.  Restricted to small brick universes by default.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
         corners = list(brick_corners(shape, config.cubic))
         maximizing = config.mode == "max"
-        best, best_mask = (0 if maximizing else len(corners) + 1), 0  # beaten by any family
+        best, best_mask = len(corners) + 1, 0  # min: beaten by any family
+        if maximizing:  # beaten by a largest family only
+            best = _largest_clique(_universe_table(shape, config.cubic).by_degree(), counter) - 1
 
         def prune(size: int, pmask: int, compat: list[int]) -> bool:
             if not maximizing:
@@ -574,9 +580,37 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
             size = mask.bit_count()
             if size > best if maximizing else size < best:
                 best, best_mask = size, mask
+                if maximizing:
+                    break
         return best, [Brick(lo, hi) for lo, hi in mask_members(best_mask, corners)]
 
     return _run(shape, config, "flat", solve)
+
+
+def _largest_clique(compat: list[int], counter: _Counter) -> int:
+    """The size of a largest clique of ``compat`` rows, by Tomita & Seki's MCQ: a
+    node, counted once, branches on its candidates' :func:`_colour_classes` from
+    the last down, and returns at class ``k`` once ``|R| + k <= best``, as a clique
+    takes at most one brick of each class left."""
+    best = 0
+    bits = range(len(compat))
+
+    def expand(size: int, pmask: int) -> None:
+        nonlocal best
+        counter.add(1)
+        for k, colour in reversed(list(enumerate(_colour_classes(pmask, compat), 1))):
+            for v in reversed(mask_members(colour, bits)):
+                if size + k <= best:
+                    return
+                below = pmask & compat[v]
+                if below:
+                    expand(size + 1, below)
+                else:
+                    best = max(best, size + 1)
+                pmask ^= 1 << v
+
+    expand(0, (1 << len(compat)) - 1)
+    return best
 
 
 def _colour_classes(pmask: int, compat: list[int]) -> Iterator[int]:
@@ -653,9 +687,14 @@ def enumerate_maximal_systems(
     listed in brick order and every brick fits the shape, so a family decoded
     from it is already sorted and valid, and is wrapped without re-checking.
     """
-    check_brick_cap(shape, cubic, cap)
-    corners = list(brick_corners(shape, cubic))
-    bricks = [Brick(lo, hi) for lo, hi in corners]
-    families = _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP),
-                                 lambda size, pmask, compat: False)
+    families = _maximal_family_masks(shape, cubic, cap)
+    bricks = [Brick(lo, hi) for lo, hi in brick_corners(shape, cubic)]
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)
+
+
+def _maximal_family_masks(shape: Shape, cubic: bool, cap: int) -> Iterator[int]:
+    """:func:`enumerate_maximal_systems` undecoded: each maximal family as a mask
+    over the universe, in the same order, with the brick cap checked on the call."""
+    check_brick_cap(shape, cubic, cap)
+    return _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP),
+                             lambda size, pmask, compat: False)

@@ -114,26 +114,25 @@ def _universe_masks(shape: Shape, cubic: bool) -> IntervalMasks:
 class _UniverseTable:
     """Per-brick rows of one universe, for the oracle paths that list its
     maximal systems.  Brick ``k`` of :func:`brick_corners`' order is bit
-    ``k``; ``index`` maps its corners to ``k``.  ``inside[k]`` holds the
-    bricks inside brick ``k`` (itself included), ``containers[k]`` its strict
-    containers and ``compat[k]`` the bricks nested with or disjoint from it,
-    itself left out, all read off :class:`IntervalMasks`.  ``runs[i][k]`` is
-    ``(lo_i, hi_i, is_cell)``, brick ``k``'s run on a box edge along axis
-    ``i``; ``full`` is the full brick's bit, 0 when it is not in the universe.
+    ``k``.  ``inside[k]`` holds the bricks inside brick ``k`` (itself
+    included), ``containers[k]`` its strict containers and ``compat[k]`` the
+    bricks nested with or disjoint from it, itself left out, all read off
+    :class:`IntervalMasks`.  ``runs[i][k]`` is ``(lo_i, hi_i, is_cell)``,
+    brick ``k``'s run on a box edge along axis ``i``; ``full`` is the full
+    brick's bit, 0 when it is not in the universe.
 
     The table is n rows of n bits three times over, so only callers that
     have passed a brick cap build it, and ``check`` never does.  :meth:`edges`
-    is built on first use only.
+    and :meth:`by_degree` are built on first use only.
     """
 
-    __slots__ = ("shape", "cubic", "index", "inside", "containers", "compat", "runs", "full",
-                 "_edges")
+    __slots__ = ("shape", "cubic", "inside", "containers", "compat", "runs", "full",
+                 "_edges", "_by_degree")
 
     def __init__(self, shape: Shape, cubic: bool):
         masks = _universe_masks(shape, cubic)
         corners = list(brick_corners(shape, cubic))
         self.shape, self.cubic = shape, cubic
-        self.index = {c: k for k, c in enumerate(corners)}
         self.inside, self.containers, self.compat = [], [], []
         for k, (lo, hi) in enumerate(corners):
             inside, around, apart = masks.relations(lo, hi)
@@ -144,9 +143,19 @@ class _UniverseTable:
         cells = [all(h - a == 1 for a, h in zip(lo, hi)) for lo, hi in corners]
         self.runs = [[(lo[i], hi[i], cell) for (lo, hi), cell in zip(corners, cells)]
                      for i in range(shape.ndim)]
-        full = self.index.get(((0,) * shape.ndim, shape.dims))
-        self.full = 0 if full is None else 1 << full
-        self._edges = None
+        full = ((0,) * shape.ndim, shape.dims)
+        self.full = 1 << corners.index(full) if full in corners else 0
+        self._edges = self._by_degree = None
+
+    def by_degree(self) -> list[int]:
+        """``compat`` relabelled by falling degree, ties in brick order: bit
+        ``r`` and row ``r`` are the brick of rank ``r``."""
+        if self._by_degree is None:
+            compat = self.compat
+            order = sorted(range(len(compat)), key=lambda k: -compat[k].bit_count())
+            rank = [1 << r for r in sorted(range(len(order)), key=order.__getitem__)]
+            self._by_degree = [sum(mask_members(compat[k], rank)) for k in order]
+        return self._by_degree
 
     def edges(self) -> list[list[int]]:
         """Per axis ``i``, the masks of the bricks on each box edge along ``i``,

@@ -26,12 +26,13 @@ from .search import (
     ExtremalReport,
     SearchConfig,
     check_brick_cap,
+    _maximal_family_masks,
     enumerate_maximal_systems,
     extremal_size,
     flat_extremal_size,
 )
 from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
-from .system import IslandSystem, _universe_table
+from .system import _UniverseTable, _universe_table
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -208,19 +209,22 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
     a member.  onedim: every maximal system of a segment of length m has
     exactly m members (checked for m up to ``ONEDIM_MAX``).
 
-    The corner, gap and restriction counts are read off the universe's cached
-    table (:func:`_structure_violations`); the tests hold them to scalar corner
+    Each system is a mask straight from the flat walk; the tests hold the corner,
+    gap and restriction counts (:func:`_structure_violations`) to scalar corner
     counts, ``gap_profiles`` of ``max_elements``, ``restrict`` and ``is_maximal``.
     """
     cases = [(shape, ("corners", "gaps", "restrict"), _structure_violations) for shape in shapes]
-    cases += [(Shape((m,)), ("onedim",), lambda system: (len(system) != system.shape.dims[0],))
+    cases += [(Shape((m,)), ("onedim",),
+               lambda table, family: (family.bit_count() != table.shape.dims[0],))
               for m in range(1, ONEDIM_MAX + 1)]
     rows = []
     for shape, props, violations in cases:
         counts = [0] * len(props)
         try:
-            for system in enumerate_maximal_systems(shape, cap=cap):
-                counts = [a + b for a, b in zip(counts, violations(system))]
+            families = _maximal_family_masks(shape, False, cap)  # checks the cap first
+            table = _universe_table(shape, False)
+            for family in families:
+                counts = [a + b for a, b in zip(counts, violations(table, family))]
         except CapExceeded:
             rows += [_row(shape, False, prop, 0, "", SKIPPED) for prop in props]
             continue
@@ -229,9 +233,9 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
     return rows
 
 
-def _structure_violations(system: IslandSystem) -> tuple[int, int, int]:
-    """The system's corner, gap and restriction violations, with the system
-    as a mask over its universe's :func:`~islands.system._universe_table`.
+def _structure_violations(table: _UniverseTable, family: int) -> tuple[int, int, int]:
+    """The corner, gap and restriction violations of the system ``family``, a
+    mask over the universe whose :func:`~islands.system._universe_table` is ``table``.
 
     The top members (:func:`~islands.system.max_elements`) have no strict
     container among the members, the full brick left out.  With two or more,
@@ -243,11 +247,7 @@ def _structure_violations(system: IslandSystem) -> tuple[int, int, int]:
     :func:`~islands.system.non_maximal_restrictions`' rule on the table's rows,
     plus one for a missing full brick.
     """
-    table = _universe_table(system.shape, system.cubic)
-    index, inside, compat = table.index, table.inside, table.compat
-    family = 0
-    for b in system.bricks:
-        family |= 1 << index[b.lo, b.hi]
+    inside, compat = table.inside, table.compat
     rest = family & ~table.full
     top = 0
     bits = rest
@@ -259,7 +259,7 @@ def _structure_violations(system: IslandSystem) -> tuple[int, int, int]:
     corners = gaps = 0
     if top & (top - 1):
         for free, (edges, runs_at, m) in enumerate(zip(table.edges(), table.runs,
-                                                       system.shape.dims)):
+                                                       table.shape.dims)):
             for edge in edges:
                 on = edge & top
                 if not on:  # one gap, two None flanks

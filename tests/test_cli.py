@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from islands.cli import build_parser, main
+from islands.geometry import brick_corners
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
 from islands.verify import FAIL, SKIPPED, Searcher, classification_rows, corollary_rows
@@ -25,6 +26,14 @@ from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, e
                      restrict)
 
 from conftest import B, child_env
+
+
+def family_masks(shape, systems):
+    """The systems in ``shape`` as masks over its universe, as the flat walk
+    hands them to the corollary sweep."""
+    corners = list(brick_corners(shape))
+    return iter([sum(1 << corners.index((b.lo, b.hi)) for b in system)
+                 for system in systems if system.shape == shape])
 
 
 def run(capsys, *argv):
@@ -750,12 +759,12 @@ class TestVerify:
                                            [(0, 1), (3, 4), (6, 8), (10, 11), (14, 15)]])
         segment = IslandSystem(Shape((3,)), [B((0,), (3,))])
 
-        def systems(shape, cap):
+        def families(shape, cubic, cap):
             if shape == Shape((2, 2)):
                 raise CapExceeded("stub cap")
-            return iter([s for s in (box, line, segment) if s.shape == shape])
+            return family_masks(shape, (box, line, segment))
 
-        monkeypatch.setattr("islands.verify.enumerate_maximal_systems", systems)
+        monkeypatch.setattr("islands.verify._maximal_family_masks", families)
         rows = corollary_rows([Shape((3, 3)), Shape((15,)), Shape((2, 2))])
         assert [(r["shape"], r["mode"], r["expected"], r["actual"], r["status"])
                 for r in rows] == [
@@ -780,8 +789,8 @@ class TestVerify:
     def test_corner_counts_on_sides_of_length_one(self, monkeypatch, dims, cells, expected):
         shape = Shape(dims)
         system = IslandSystem(shape, [shape.full_brick()] + [B(lo, hi) for lo, hi in cells])
-        monkeypatch.setattr("islands.verify.enumerate_maximal_systems",
-                            lambda s, cap: iter([system] if s == shape else []))
+        monkeypatch.setattr("islands.verify._maximal_family_masks",
+                            lambda s, cubic, cap: family_masks(s, [system]))
         rows = corollary_rows([shape])[:3]
         assert [(row["mode"], row["actual"]) for row in rows] == list(
             zip(("corners", "gaps", "restrict"), expected))
@@ -817,8 +826,8 @@ class TestVerify:
                 # not laminar in general, and the full brick only sometimes
                 bricks = rng.sample(universe, rng.randint(0, min(8, len(universe))))
                 system = IslandSystem(shape, bricks + [shape.full_brick()] * rng.randint(0, 1))
-                monkeypatch.setattr("islands.verify.enumerate_maximal_systems",
-                                    lambda s, cap: iter([system] if s == shape else []))
+                monkeypatch.setattr("islands.verify._maximal_family_masks",
+                                    lambda s, cubic, cap: family_masks(s, [system]))
                 rows = corollary_rows([shape])[:3]
                 actual = tuple(row["actual"] for row in rows)
                 assert actual == scalar_counts(system), system

@@ -36,6 +36,7 @@ from islands import search
 from islands.geometry import IntervalMasks, brick_corners, mask_members
 from islands.search import DEFAULT_NODE_CAP, ENGINE_VERSION, ENGINES
 from islands.serialize import dumps_canonical, system_to_dict
+from islands.system import _universe_table
 from islands.verify import Searcher
 
 from conftest import B
@@ -550,7 +551,7 @@ def test_outcome_corpus_is_pinned():
     # moving one needs an ENGINE_VERSION bump, as in test_engine_counters_are_pinned.
     digests = {cap: hashlib.sha256(repr(sorted(fresh_outcomes(cap).items())).encode()).hexdigest()
                for cap in OUTCOME_DIGESTS}
-    assert (ENGINE_VERSION, digests) == ("7", OUTCOME_DIGESTS)
+    assert (ENGINE_VERSION, digests) == ("8", OUTCOME_DIGESTS)
 
 
 class UnfoldedEngine(search._FrontEngine):
@@ -756,16 +757,35 @@ class TestFlatBranchAndBound:
             assert report.value == len(report.witness), dims
 
     # Past the default cap of 40 bricks, where the colour classes of the max
-    # prune are larger: 5x4 has 150 bricks, 6x3 126, 3x3x2 108 and 4x4 100.
-    @pytest.mark.parametrize("dims,values", [((5, 4), (8, 14)), ((4, 4), (7, 11)),
-                                             ((6, 3), (8, 13)), ((3, 3, 2), (6, 11))],
-                             ids=["5,4", "4,4", "6,3", "3,3,2"])
+    # prune are larger: 5x4 has 150 bricks, 6x3 126, 3x3x2 108 and 4x4 100;
+    # in cubes, 3x3x3x3 has 98, 6x5 and 4x4x3 70 and 5x5 55; 3x2x2x2 has 162.
+    @pytest.mark.parametrize("dims,cubic,values", [
+        ((5, 4), False, (8, 14)), ((4, 4), False, (7, 11)), ((6, 3), False, (8, 13)),
+        ((3, 3, 2), False, (6, 11)), ((5, 5), True, (5, 11)), ((6, 5), True, (5, 11)),
+        ((4, 4, 3), True, (3, 9)), ((3, 3, 3, 3), True, (3, 17)), ((3, 2, 2, 2), False, (6, 9)),
+    ], ids=["5,4", "4,4", "6,3", "3,3,2", "5,5-cubic", "6,5-cubic", "4,4,3-cubic",
+            "3,3,3,3-cubic", "3,2,2,2"])
     @pytest.mark.parametrize("mode", ["min", "max"])
-    def test_bounded_walk_keeps_the_first_extreme_family_past_the_cap(self, dims, values, mode):
-        report = flat_extremal_size(Shape(dims), SearchConfig(mode=mode, brick_count_cap=150))
+    def test_bounded_walk_keeps_the_first_extreme_family_past_the_cap(self, dims, cubic, values,
+                                                                      mode):
+        cap = brick_count(Shape(dims), cubic)
+        config = SearchConfig(mode=mode, cubic=cubic, brick_count_cap=cap)
+        report = flat_extremal_size(Shape(dims), config)
         witness = dumps_canonical(system_to_dict(report.witness))
-        assert witness == first_extreme_families(dims, False, 150)[mode]
+        assert witness == first_extreme_families(dims, cubic, cap)[mode]
         assert report.value == len(report.witness) == dict(zip(("min", "max"), values))[mode]
+
+    # Flat 5,4 max spends 2,421 nodes finding the optimum and 23 more in the walk to its witness.
+    @pytest.mark.parametrize("node_cap", [500, 2420, 2421, 2443],
+                             ids=["clique-500", "clique-last", "walk-first", "walk-last"])
+    def test_node_cap_stops_either_phase_of_the_max_search(self, node_cap):
+        config = SearchConfig(mode="max", brick_count_cap=150, node_cap=node_cap)
+        with pytest.raises(CapExceeded) as err:
+            flat_extremal_size(Shape((5, 4)), config)
+        assert err.value.nodes_explored == node_cap + 1
+        assert str(err.value) == f"node cap {node_cap} exceeded"
+        config.node_cap = 2444
+        assert flat_extremal_size(Shape((5, 4)), config).nodes_explored == 2444
 
 
 # Every axis order with d <= 3 and sides <= 6 whose universe has at most 40
@@ -808,6 +828,32 @@ def test_colour_classes_bound_every_laminar_subfamily(data):
         members = mask_members(colour, bricks)
         assert not any(compatible(a, b) for a, b in itertools.combinations(members, 2))
     assert len(classes) >= largest_laminar(mask_members(pmask, bricks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_largest_clique_is_the_largest_laminar_subfamily(data):
+    # A drawn sub-universe, its bricks in a drawn order, so any labelling is met.
+    dims, cubic = data.draw(st.sampled_from(COLOUR_UNIVERSES))
+    corners = list(brick_corners(Shape(dims), cubic))
+    picked = data.draw(st.lists(st.sampled_from(range(len(corners))), unique=True))
+    table = IntervalMasks(Shape(dims), corners)
+    rows = [sum(1 << k for k, j in enumerate(picked) if table.compatible(*corners[i]) >> j & 1)
+            for i in picked]
+    assert search._largest_clique(rows, search._Counter(DEFAULT_NODE_CAP)) == largest_laminar(
+        [Brick(*corners[i]) for i in picked])
+
+
+@pytest.mark.parametrize("dims,cubic", [((3, 3), False), ((3, 2, 2), False), ((6, 6), True)],
+                         ids=["3,3", "3,2,2", "6,6-cubic"])
+def test_degree_rows_relabel_the_compatibility_rows(dims, cubic):
+    # Rank r is the r-th brick by falling row size, equal sizes in brick order.
+    table = _universe_table(Shape(dims), cubic)
+    compat, rows = table.compat, table.by_degree()
+    order = sorted(range(len(compat)), key=lambda k: (-compat[k].bit_count(), k))
+    assert all(rows[r] >> s & 1 == compat[order[r]] >> order[s] & 1
+               for r in range(len(rows)) for s in range(len(rows)))
+    assert table.by_degree() is rows  # built once per table
 
 
 class TestOracleEquivalence:
@@ -914,22 +960,22 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, ("7", 14, 1313, 88)),
-        (extremal_size, (4, 3, 2), "max", False, ("7", 13, 986, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, ("7", 5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, ("7", 9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, ("7", 7, 117, 0)),
-        (flat_extremal_size, (5, 4), "max", False, ("7", 14, 17675, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, ("7", 4, 169, 0)),
-        (extremal_size, (5, 4), "min", False, ("7", 8, 2475, 88)),
-        (extremal_size, (4, 3, 2), "min", False, ("7", 7, 1235, 100)),
-        (extremal_size, (7, 7), "min", True, ("7", 7, 1484, 15)),
-        (extremal_size, (4, 4, 4), "min", True, ("7", 4, 240, 3)),
-        (extremal_size, (4, 1, 3), "max", False, ("7", 9, 257, 32)),
-        (extremal_size, (1, 3, 2), "min", False, ("7", 4, 41, 7)),
-        (extremal_size, (2, 1, 2, 1), "max", False, ("7", 3, 13, 2)),
-        (extremal_size, (6, 6), "max", True, ("7", 13, 7840, 10)),
-        (extremal_size, (7, 7), "max", True, ("7", 21, 10399, 15)),
+        (extremal_size, (5, 4), "max", False, ("8", 14, 1313, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("8", 13, 986, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("8", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("8", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("8", 7, 31, 0)),
+        (flat_extremal_size, (5, 4), "max", False, ("8", 14, 2444, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("8", 4, 169, 0)),
+        (extremal_size, (5, 4), "min", False, ("8", 8, 2475, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("8", 7, 1235, 100)),
+        (extremal_size, (7, 7), "min", True, ("8", 7, 1484, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("8", 4, 240, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("8", 9, 257, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("8", 4, 41, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("8", 3, 13, 2)),
+        (extremal_size, (6, 6), "max", True, ("8", 13, 7840, 10)),
+        (extremal_size, (7, 7), "max", True, ("8", 21, 10399, 15)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
