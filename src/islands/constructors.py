@@ -18,6 +18,7 @@ from .geometry import Brick, Shape
 from .system import IslandSystem
 
 Interval = tuple[int, int]
+Corners = tuple[tuple[int, ...], tuple[int, ...]]  # a brick's (lo, hi)
 
 
 def nested_min_system(shape: Shape) -> IslandSystem:
@@ -64,7 +65,15 @@ def maximal_segment_systems(m: int) -> tuple[frozenset[Interval], ...]:
 
 
 def minimal_maximal_systems(shape: Shape) -> Iterator[IslandSystem]:
-    """All minimum-size maximal systems of the shape, each exactly once.
+    """All minimum-size maximal systems of the shape, each exactly once, built
+    lazily from :func:`_minimal_family_corners`."""
+    for corners in _minimal_family_corners(shape):
+        yield IslandSystem(shape, [Brick(lo, hi) for lo, hi in corners])
+
+
+def _minimal_family_corners(shape: Shape) -> Iterator[tuple[Corners, ...]]:
+    """The minimum-size maximal systems, each as a tuple of ``(lo, hi)`` corner
+    pairs; the seed may appear twice, so consumers OR or dedupe, never sum.
 
     A system is a seed brick B (unit cross-section, length r on one axis), a
     maximal filling of B by r intervals, and a chain of unit steps growing B
@@ -74,10 +83,25 @@ def minimal_maximal_systems(shape: Shape) -> Iterator[IslandSystem]:
     the innermost seed is taken: a cell (on axis 0), or a seed whose filling
     is split, with no interval of length r - 1 (none has r = 2).  The loops
     meet it before any outer seed, cells first and then smaller r on an axis,
-    so each system comes where it first appears over all seeds.
+    so each system comes where it first appears over all seeds.  A chain step
+    extends one axis at one end, the low end first, inside the box; distinct
+    step orders give distinct systems.
     """
     dims = shape.dims
     d = len(dims)
+    chain: list[Corners] = []
+
+    def grow(lo: tuple[int, ...], hi: tuple[int, ...]) -> Iterator[tuple[Corners, ...]]:
+        chain.append((lo, hi))
+        if hi == dims and not any(lo):
+            yield tuple(chain)
+        for axis in range(d):
+            if lo[axis] > 0:
+                yield from grow(lo[:axis] + (lo[axis] - 1,) + lo[axis + 1:], hi)
+            if hi[axis] < dims[axis]:
+                yield from grow(lo, hi[:axis] + (hi[axis] + 1,) + hi[axis + 1:])
+        chain.pop()
+
     for axis in range(d):
         for r in range(1 if axis == 0 else 2, dims[axis] + 1):
             split = [s for s in maximal_segment_systems(r) if all(b - a != r - 1 for a, b in s)]
@@ -85,49 +109,13 @@ def minimal_maximal_systems(shape: Shape) -> Iterator[IslandSystem]:
                 continue  # r == 2: both fillings hold a cell, the innermost seed
             extents = tuple(r if j == axis else 1 for j in range(d))
             for lo in itertools.product(*(range(m - e + 1) for m, e in zip(dims, extents))):
-                seed = Brick(lo, tuple(a + e for a, e in zip(lo, extents)))
-                fillings = [frozenset(_embed_interval(iv, seed, axis) for iv in s) for s in split]
-                for chain in _unit_extension_chains(seed, shape):
+                hi = tuple(a + e for a, e in zip(lo, extents))
+                fillings = [tuple((lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
+                                   hi[:axis] + (lo[axis] + b,) + hi[axis + 1:]) for a, b in s)
+                            for s in split]
+                for steps in grow(lo, hi):
                     for filling in fillings:
-                        yield IslandSystem(shape, filling | chain)
-
-
-def _embed_interval(interval: Interval, seed: Brick, axis: int) -> Brick:
-    a, b = interval
-    lo = list(seed.lo)
-    hi = list(seed.hi)
-    lo[axis] = seed.lo[axis] + a
-    hi[axis] = seed.lo[axis] + b
-    return Brick(tuple(lo), tuple(hi))
-
-
-def _unit_extension_chains(start: Brick, shape: Shape) -> Iterator[frozenset[Brick]]:
-    """All chains from ``start`` to the full brick, one unit step at a time.
-
-    Each step may extend any axis at either end, as long as the result stays
-    inside the box.  Distinct step orders give distinct brick sets.
-    """
-    dims = shape.dims
-    full = shape.full_brick()
-    chain: list[Brick] = [start]
-
-    def grow(current: Brick) -> Iterator[frozenset[Brick]]:
-        if current == full:
-            yield frozenset(chain)
-            return
-        for axis in range(len(dims)):
-            for down, up in ((1, 0), (0, 1)):  # the low end first
-                lo, hi = list(current.lo), list(current.hi)
-                lo[axis] -= down
-                hi[axis] += up
-                if lo[axis] < 0 or hi[axis] > dims[axis]:
-                    continue  # the step would leave the box
-                nxt = Brick(tuple(lo), tuple(hi))
-                chain.append(nxt)
-                yield from grow(nxt)
-                chain.pop()
-
-    yield from grow(start)
+                        yield filling + steps
 
 
 def nested_cubes(d: int, m: int) -> IslandSystem:

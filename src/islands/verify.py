@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constructors import minimal_maximal_systems
+from .constructors import _minimal_family_corners
 from .errors import CapExceeded
 from .formulas import (
     max_brick_system_bounds,
@@ -19,15 +19,16 @@ from .formulas import (
     max_rect_system_size,
     min_brick_system_size,
 )
-from .geometry import Brick, Shape
+from .geometry import Shape, brick_corners
 from .search import (
     DEFAULT_NODE_CAP,
     ENGINES,
     ExtremalReport,
     SearchConfig,
     check_brick_cap,
+    _Counter,
+    _maximal_families,
     _maximal_family_masks,
-    enumerate_maximal_systems,
     extremal_size,
     flat_extremal_size,
 )
@@ -168,30 +169,39 @@ def prior_work_rows(searcher: Searcher, max_side: int) -> list[dict]:
 def classification_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dict]:
     """The minimum-size generator emits exactly the oracle's minimum systems.
 
-    Comparison is by literal sorted brick lists, not up to symmetry.  The
+    Both sides are sets of masks over the shape's universe: literal brick sets,
+    not up to symmetry.  A generated system is the OR of its corner pairs' bits
+    or, with a pair outside the universe, the frozenset of its pairs, which no
+    oracle mask equals.  The oracle's walk drops a node with candidates left
+    once ``|R| + 1`` exceeds the smallest size yet, as every family below it is
+    larger, so each family that ties the smallest is still listed.  The
     expected column holds the generator's count, the actual column the
     oracle's; the status reflects full set equality and no repeated system.
     """
     rows = []
     for shape in shapes:
-        expected_size = min_brick_system_size(shape)
         try:
-            oracle = enumerate_maximal_systems(shape, cap=cap)  # checks the cap first
-            listed = [system.bricks for system in minimal_maximal_systems(shape)]
+            check_brick_cap(shape, False, cap)  # before anything is generated
+            bits = {corners: 1 << k for k, corners in enumerate(brick_corners(shape, False))}
+            listed = []
+            for system in _minimal_family_corners(shape):
+                masks = {bits.get(corners) for corners in system}  # distinct bits: sum is OR
+                listed.append(frozenset(system) if None in masks else sum(masks))
             generated = set(listed)
-            smallest: set[tuple[Brick, ...]] = set()
-            best = None
-            for system in oracle:
-                if best is None or len(system) < best:
-                    best = len(system)
-                    smallest = {system.bricks}
-                elif len(system) == best:
-                    smallest.add(system.bricks)
+            best, smallest = len(bits), set()  # no family outgrows the universe
+            for family in _maximal_families(shape, False, _Counter(DEFAULT_NODE_CAP),
+                                            lambda size, pmask, compat: size + 1 > best):
+                size = family.bit_count()
+                if size < best:
+                    best, smallest = size, set()
+                if size == best:
+                    smallest.add(family)
         except CapExceeded:
             rows.append(_row(shape, False, "classification", "", "", SKIPPED))
             continue
         # hence all generated of size best, and each once
-        ok = best == expected_size and generated == smallest and len(listed) == len(generated)
+        ok = (best == min_brick_system_size(shape) and generated == smallest
+              and len(listed) == len(generated))
         rows.append(
             _row(shape, False, "classification", len(generated), len(smallest),
                  PASS if ok else FAIL)

@@ -16,14 +16,16 @@ from pathlib import Path
 import pytest
 
 from islands.cli import build_parser, main
-from islands.geometry import brick_corners
+from islands.constructors import _minimal_family_corners
+from islands.geometry import brick_corners, brick_count
 from islands.search import ENGINE_VERSION
 from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
-from islands.verify import FAIL, SKIPPED, Searcher, classification_rows, corollary_rows
+from islands.verify import (FAIL, SKIPPED, Searcher, canonical_shapes, classification_rows,
+                            corollary_rows)
 from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, enumerate_bricks,
-                     flat_extremal_size, gap_profiles, is_maximal, max_elements,
-                     maximal_segment_systems, minimal_maximal_systems, nested_min_system,
-                     restrict)
+                     enumerate_maximal_systems, flat_extremal_size, gap_profiles, is_maximal,
+                     max_elements, maximal_segment_systems, min_brick_system_size,
+                     minimal_maximal_systems, nested_min_system, restrict)
 
 from conftest import B, child_env
 
@@ -725,17 +727,53 @@ class TestVerify:
 
     def test_classification_fails_a_generator_that_repeats_a_system(self, monkeypatch):
         def twice(shape):
-            for system in minimal_maximal_systems(shape):
+            for system in _minimal_family_corners(shape):
                 yield system
                 yield system
 
-        monkeypatch.setattr("islands.verify.minimal_maximal_systems", twice)
+        monkeypatch.setattr("islands.verify._minimal_family_corners", twice)
         (row,) = classification_rows([Shape((2, 2))])
         assert (row["expected"], row["actual"], row["status"]) == (8, 8, "FAIL")
 
-    def test_classification_checks_the_cap_before_generating(self):
+    @pytest.mark.parametrize("stray", [((0, 0), (3, 1)), ((1, 1), (1, 2)), ((0,), (1,))])
+    def test_classification_fails_a_corner_pair_outside_the_universe(self, monkeypatch, stray):
+        # past the 2x2 box, empty, and of the wrong dimension: a FAIL row, not a KeyError
+        def with_stray(shape):
+            first, *rest = _minimal_family_corners(shape)
+            yield first[:-1] + (stray,)
+            yield from rest
+
+        monkeypatch.setattr("islands.verify._minimal_family_corners", with_stray)
+        (row,) = classification_rows([Shape((2, 2))])
+        assert (row["expected"], row["actual"], row["status"]) == (8, 8, "FAIL")
+
+    def test_classification_checks_the_cap_before_generating(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("generated past the brick cap")
+
+        monkeypatch.setattr("islands.verify._minimal_family_corners", untouched)
+        monkeypatch.setattr("islands.verify._maximal_families", untouched)
         (row,) = classification_rows([Shape((9, 9))])
         assert row["status"] == SKIPPED
+
+    def test_classification_rows_match_the_scalar_recomputation(self):
+        # the brick-tuple path the rows took before masks, on every canonical shape
+        # with d <= 4, at most 81 bricks and sides up to 10 (sides 11 and 12 are
+        # only segments with unit sides, 58,786 and 208,012 systems, ~100 s more)
+        shapes = [shape for shape in canonical_shapes(4, 10) if brick_count(shape) <= 81]
+        want = []
+        for shape in shapes:
+            listed = [system.bricks for system in minimal_maximal_systems(shape)]
+            oracle = list(enumerate_maximal_systems(shape, cap=81))
+            best = min(len(system) for system in oracle)
+            smallest = {system.bricks for system in oracle if len(system) == best}
+            generated = set(listed)
+            ok = (best == min_brick_system_size(shape) and generated == smallest
+                  and len(listed) == len(generated))
+            want.append((len(generated), len(smallest), "PASS" if ok else FAIL))
+        rows = classification_rows(shapes, cap=81)
+        assert len(shapes) == 66
+        assert [(row["expected"], row["actual"], row["status"]) for row in rows] == want
 
     def test_onedim_rows_over_the_cap_are_skipped(self):
         rows = corollary_rows([], cap=20)  # a segment of length 6 has 21 bricks

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -16,6 +17,8 @@ from islands import (
     nested_min_system,
     subdivision_system,
 )
+
+from islands.serialize import dumps_canonical, system_to_dict
 
 from conftest import B
 
@@ -100,6 +103,32 @@ class TestMinimalMaximalSystems:
 
     def test_2x2_count(self):
         assert sum(1 for _ in minimal_maximal_systems(Shape((2, 2)))) == 8
+
+    # count, then sha256 of the canonical JSON lines sorted (the set of systems) and
+    # as yielded (their order); (4, 3)'s second digest is also the pinned stdout of
+    # `islands construct minimal-family --shape 4,3` in tests/test_cli.py
+    FAMILY_DIGESTS = {
+        (2, 1): (2, "24bb269cbc4590dd93499ab35e6e89e91dc87434d3fa584fe07c12a9325a359b",
+                 "24bb269cbc4590dd93499ab35e6e89e91dc87434d3fa584fe07c12a9325a359b"),
+        (2, 2): (8, "6d829fcc8590f2d02bff9440167b3966e2d4ea3b6e43e6a33f0b2b9a458a649c",
+                 "3d94ed5b685eddd7579ff5395d41531d7f74ad774f729733baa80bc91f812298"),
+        (4, 3): (368, "61fd8fa37ceba1405d8bf5ef7a4619543f1b138f7261754858c4c01616047ea9",
+                 "b9a6c40c83591a3eac8e12e1a5a6c3b0949e836516f2648aa02d032c9c66dc30"),
+        (5, 3): (1224, "b5a21a2a36beb037d406eff7b2b472b83606ca8a888af33c2d690d37224fce1d",
+                 "54e4186b85aee285fb4fbd95d6fbd180b1a4e05eab8e0a20178e8c4f8ef9593e"),
+        (3, 2, 2): (200, "292588b19544ff68e212b6ac06e567f8bc69cba307b7d75827615294b22eec8d",
+                    "9365a5d6736a250fc5ce36b2c5b008c09be675af785ce0d620deb54ffbfa14df"),
+        (2, 2, 2, 2): (384, "d01191b47e410567245ee301de4cf541cc77e6501a323a5e031d4355d66e5e9e",
+                       "f9238cd61c356f3f7dbbcf71169620e2a09e7a7c7d479a1ff03d7e2bab697e9b"),
+    }
+
+    @pytest.mark.parametrize("dims", sorted(FAMILY_DIGESTS), ids=str)
+    def test_family_set_and_order_are_pinned(self, dims):
+        lines = [dumps_canonical(system_to_dict(system)) + "\n"
+                 for system in minimal_maximal_systems(Shape(dims))]
+        digest = [hashlib.sha256("".join(order).encode()).hexdigest()
+                  for order in (sorted(lines), lines)]
+        assert (len(lines), *digest) == self.FAMILY_DIGESTS[dims]
 
     def test_stream_memory_does_not_grow_with_its_output(self):
         # 1,224 systems; a set of the yielded systems alone would trace over 1 MB
