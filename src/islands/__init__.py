@@ -54,7 +54,6 @@ from .system import (
     is_laminar,
     is_maximal,
     max_elements,
-    non_maximal_restrictions,
     restrict,
 )
 

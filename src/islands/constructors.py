@@ -72,8 +72,8 @@ def minimal_maximal_systems(shape: Shape) -> Iterator[IslandSystem]:
 
 
 def _minimal_family_corners(shape: Shape) -> Iterator[tuple[Corners, ...]]:
-    """The minimum-size maximal systems, each as a tuple of ``(lo, hi)`` corner
-    pairs; the seed may appear twice, so consumers OR or dedupe, never sum.
+    """The minimum-size maximal systems, each as a tuple of distinct ``(lo, hi)``
+    corner pairs.
 
     A system is a seed brick B (unit cross-section, length r on one axis), a
     maximal filling of B by r intervals, and a chain of unit steps growing B
@@ -85,7 +85,8 @@ def _minimal_family_corners(shape: Shape) -> Iterator[tuple[Corners, ...]]:
     meet it before any outer seed, cells first and then smaller r on an axis,
     so each system comes where it first appears over all seeds.  A chain step
     extends one axis at one end, the low end first, inside the box; distinct
-    step orders give distinct systems.
+    step orders give distinct systems.  The chain starts at B itself, so the
+    filling leaves B out.
     """
     dims = shape.dims
     d = len(dims)
@@ -111,7 +112,8 @@ def _minimal_family_corners(shape: Shape) -> Iterator[tuple[Corners, ...]]:
             for lo in itertools.product(*(range(m - e + 1) for m, e in zip(dims, extents))):
                 hi = tuple(a + e for a, e in zip(lo, extents))
                 fillings = [tuple((lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
-                                   hi[:axis] + (lo[axis] + b,) + hi[axis + 1:]) for a, b in s)
+                                   hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
+                                  for a, b in s if b - a < r)
                             for s in split]
                 for steps in grow(lo, hi):
                     for filling in fillings:

@@ -692,9 +692,11 @@ def enumerate_maximal_systems(
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)
 
 
-def _maximal_family_masks(shape: Shape, cubic: bool, cap: int) -> Iterator[int]:
+def _maximal_family_masks(shape: Shape, cubic: bool, cap: int,
+                          prune: Callable[[int, int, list[int]], bool] = lambda *node: False
+                          ) -> Iterator[int]:
     """:func:`enumerate_maximal_systems` undecoded: each maximal family as a mask
-    over the universe, in the same order, with the brick cap checked on the call."""
+    over the universe, in the same order, with the brick cap checked on the call.
+    ``prune`` is :func:`_maximal_families`' hook; the default never fires."""
     check_brick_cap(shape, cubic, cap)
-    return _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP),
-                             lambda size, pmask, compat: False)
+    return _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP), prune)

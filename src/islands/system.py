@@ -115,31 +115,27 @@ class _UniverseTable:
     """Per-brick rows of one universe, for the oracle paths that list its
     maximal systems.  Brick ``k`` of :func:`brick_corners`' order is bit
     ``k``.  ``inside[k]`` holds the bricks inside brick ``k`` (itself
-    included), ``containers[k]`` its strict containers and ``compat[k]`` the
-    bricks nested with or disjoint from it, itself left out, all read off
-    :class:`IntervalMasks`.  ``runs[i][k]`` is ``(lo_i, hi_i, is_cell)``,
-    brick ``k``'s run on a box edge along axis ``i``; ``full`` is the full
-    brick's bit, 0 when it is not in the universe.
+    included) and ``compat[k]`` the bricks nested with or disjoint from it,
+    itself left out, both read off :class:`IntervalMasks`.  ``runs[i][k]`` is
+    ``(lo_i, hi_i, is_cell)``, brick ``k``'s run on a box edge along axis
+    ``i``; ``full`` is the full brick's bit, 0 when it is not in the universe.
 
-    The table is n rows of n bits three times over, so only callers that
-    have passed a brick cap build it, and ``check`` never does.  :meth:`edges`
+    The table is n rows of n bits twice over, so only callers that have
+    passed a brick cap build it, and ``check`` never does.  :meth:`edges`
     and :meth:`by_degree` are built on first use only.
     """
 
-    __slots__ = ("shape", "cubic", "inside", "containers", "compat", "runs", "full",
-                 "_edges", "_by_degree")
+    __slots__ = ("shape", "cubic", "inside", "compat", "runs", "full", "_edges", "_by_degree")
 
     def __init__(self, shape: Shape, cubic: bool):
         masks = _universe_masks(shape, cubic)
         corners = list(brick_corners(shape, cubic))
         self.shape, self.cubic = shape, cubic
-        self.inside, self.containers, self.compat = [], [], []
+        self.inside, self.compat = [], []
         for k, (lo, hi) in enumerate(corners):
             inside, around, apart = masks.relations(lo, hi)
-            own = 1 << k
             self.inside.append(inside)
-            self.containers.append(around & ~own)
-            self.compat.append((inside | around | apart) & ~own)
+            self.compat.append((inside | around | apart) & ~(1 << k))
         cells = [all(h - a == 1 for a, h in zip(lo, hi)) for lo, hi in corners]
         self.runs = [[(lo[i], hi[i], cell) for (lo, hi), cell in zip(corners, cells)]
                      for i in range(shape.ndim)]
@@ -173,6 +169,68 @@ class _UniverseTable:
                         on_edge = [mask & side for mask in on_edge for side in face]
                 self._edges.append(on_edge)
         return self._edges
+
+    def violations(self, family: int) -> tuple[int, int, int]:
+        """The corner, gap and restriction violations of the system ``family``,
+        a mask over this universe; neither laminarity nor maximality is assumed.
+
+        The top members (:func:`max_elements`) are the members, the full brick
+        left out, inside no other such member.  With two or more, each box
+        edge's runs are the top members on it, walked under the rules of
+        :func:`gap_profiles`.  A corner cell is empty iff the axis-0 edge gap
+        at its end has a ``None`` flank, counted per corner vector: a side of
+        length 1 counts twice, and an edge with no run is one gap with two
+        ``None`` flanks.  The restriction count is one per member ``b`` whose
+        :func:`restrict` is not maximal, plus one for a missing full brick.
+        Translation by ``-b.lo`` maps the bricks inside ``b`` one to one onto
+        the universe of ``b.inner_shape()`` and keeps compatibility, so that
+        restriction is maximal iff no brick inside ``b`` is compatible with
+        every member inside ``b``; each such member drops out through its own
+        row, which leaves out its own bit.
+        """
+        inside, compat = self.inside, self.compat
+        below = 0  # the members strictly inside a member other than the full brick
+        restricts = int(not family & self.full)
+        bits = family
+        while bits:
+            low = bits & -bits
+            addable = inside[low.bit_length() - 1]
+            if low != self.full:
+                below |= addable ^ low
+            members = family & addable
+            while members and addable:
+                member = members & -members
+                addable &= compat[member.bit_length() - 1]
+                members ^= member
+            restricts += addable != 0
+            bits ^= low
+        top = family & ~self.full & ~below
+        corners = gaps = 0
+        if top & (top - 1):
+            for free, (edges, runs_at, m) in enumerate(zip(self.edges(), self.runs,
+                                                           self.shape.dims)):
+                for edge in edges:
+                    on = edge & top
+                    if not on:  # one gap, two None flanks
+                        gaps += 1
+                        corners += 2 if free == 0 else 0
+                        continue
+                    runs = []
+                    while on:
+                        low = on & -on
+                        runs.append(runs_at[low.bit_length() - 1])
+                        on ^= low
+                    runs.sort()
+                    pos, left = 0, None
+                    for a, b, cell in runs:
+                        if a > pos:
+                            gap = a - pos
+                            gaps += left is None or gap > 2 or gap == 2 and left and cell
+                        pos, left = max(pos, b), cell
+                    gaps += pos < m
+                    if free == 0:
+                        corners += (runs[0][0] > 0) + (pos < m)
+        return corners, gaps, restricts
 
 
 @functools.cache
@@ -223,35 +281,6 @@ def restrict(system: IslandSystem, region: Brick) -> IslandSystem:
               for b in system.bricks if contains(region, b)]
     # translation keeps the members' order, and containment puts them in the region
     return _sorted_system(region.inner_shape(), inside, system.cubic)
-
-
-def non_maximal_restrictions(system: IslandSystem) -> list[Brick]:
-    """The members whose :func:`restrict` is not maximal, in member order.
-
-    Equal to ``[b for b in system if not is_maximal(restrict(system, b))]``,
-    which the tests hold it to, but read off the universe's masks with no
-    Brick or system built.  Translation by ``-b.lo`` maps the universe's
-    bricks inside ``b`` one to one onto the universe of ``b.inner_shape()``
-    and keeps compatibility, so the restriction to ``b`` is maximal iff no
-    brick inside ``b`` is compatible with every member inside ``b``.  Each such
-    member drops out through its own row, which leaves out its own bit.
-    Neither laminarity nor maximality of ``system`` is assumed.
-    """
-    table = _universe_masks(system.shape, system.cubic)
-    rows = []  # per member: its own bit, the bricks inside it, its compatibility row
-    for b in system.bricks:
-        inside, around, apart = table.relations(b.lo, b.hi)
-        own = inside & around
-        rows.append((own, inside, (inside | around | apart) & ~own))
-    bad = []
-    for b, (_, inside, _) in zip(system.bricks, rows):
-        addable = inside
-        for own, _, compat in rows:
-            if own & inside:
-                addable &= compat
-        if addable:
-            bad.append(b)
-    return bad
 
 
 def canonical_form(system: IslandSystem) -> IslandSystem:

@@ -26,14 +26,12 @@ from .search import (
     ExtremalReport,
     SearchConfig,
     check_brick_cap,
-    _Counter,
-    _maximal_families,
     _maximal_family_masks,
     extremal_size,
     flat_extremal_size,
 )
 from .serialize import cache_append, cache_key, cache_lookup, report_to_dict
-from .system import _UniverseTable, _universe_table
+from .system import _universe_table
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -181,7 +179,10 @@ def classification_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> lis
     rows = []
     for shape in shapes:
         try:
-            check_brick_cap(shape, False, cap)  # before anything is generated
+            # checks the cap before anything is generated; the prune reads the
+            # smallest size so far, set below before the first family is asked for
+            families = _maximal_family_masks(shape, False, cap,
+                                             lambda size, pmask, compat: size + 1 > best)
             bits = {corners: 1 << k for k, corners in enumerate(brick_corners(shape, False))}
             listed = []
             for system in _minimal_family_corners(shape):
@@ -189,8 +190,7 @@ def classification_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> lis
                 listed.append(frozenset(system) if None in masks else sum(masks))
             generated = set(listed)
             best, smallest = len(bits), set()  # no family outgrows the universe
-            for family in _maximal_families(shape, False, _Counter(DEFAULT_NODE_CAP),
-                                            lambda size, pmask, compat: size + 1 > best):
+            for family in families:
                 size = family.bit_count()
                 if size < best:
                     best, smallest = size, set()
@@ -220,10 +220,11 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
     exactly m members (checked for m up to ``ONEDIM_MAX``).
 
     Each system is a mask straight from the flat walk; the tests hold the corner,
-    gap and restriction counts (:func:`_structure_violations`) to scalar corner
-    counts, ``gap_profiles`` of ``max_elements``, ``restrict`` and ``is_maximal``.
+    gap and restriction counts (the universe table's ``violations``) to scalar
+    corner counts, ``gap_profiles`` of ``max_elements``, ``restrict`` and ``is_maximal``.
     """
-    cases = [(shape, ("corners", "gaps", "restrict"), _structure_violations) for shape in shapes]
+    cases = [(shape, ("corners", "gaps", "restrict"),
+              lambda table, family: table.violations(family)) for shape in shapes]
     cases += [(Shape((m,)), ("onedim",),
                lambda table, family: (family.bit_count() != table.shape.dims[0],))
               for m in range(1, ONEDIM_MAX + 1)]
@@ -241,66 +242,3 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
         rows += [_row(shape, False, prop, 0, bad, PASS if bad == 0 else FAIL)
                  for prop, bad in zip(props, counts)]
     return rows
-
-
-def _structure_violations(table: _UniverseTable, family: int) -> tuple[int, int, int]:
-    """The corner, gap and restriction violations of the system ``family``, a
-    mask over the universe whose :func:`~islands.system._universe_table` is ``table``.
-
-    The top members (:func:`~islands.system.max_elements`) have no strict
-    container among the members, the full brick left out.  With two or more,
-    each box edge's runs are the top members on it, walked under the rules of
-    :func:`~islands.system.gap_profiles`.  A corner cell is empty iff the
-    axis-0 edge gap at its end has a ``None`` flank, counted per corner vector:
-    a side of length 1 counts twice, and an edge with no run is one gap with
-    two ``None`` flanks.  The restriction count is
-    :func:`~islands.system.non_maximal_restrictions`' rule on the table's rows,
-    plus one for a missing full brick.
-    """
-    inside, compat = table.inside, table.compat
-    rest = family & ~table.full
-    top = 0
-    bits = rest
-    while bits:
-        low = bits & -bits
-        if not table.containers[low.bit_length() - 1] & rest:
-            top |= low
-        bits ^= low
-    corners = gaps = 0
-    if top & (top - 1):
-        for free, (edges, runs_at, m) in enumerate(zip(table.edges(), table.runs,
-                                                       table.shape.dims)):
-            for edge in edges:
-                on = edge & top
-                if not on:  # one gap, two None flanks
-                    gaps += 1
-                    corners += 2 if free == 0 else 0
-                    continue
-                runs = []
-                while on:
-                    low = on & -on
-                    runs.append(runs_at[low.bit_length() - 1])
-                    on ^= low
-                runs.sort()
-                pos, left = 0, None
-                for a, b, cell in runs:
-                    if a > pos:
-                        gap = a - pos
-                        gaps += left is None or gap > 2 or gap == 2 and left and cell
-                    pos, left = max(pos, b), cell
-                gaps += pos < m
-                if free == 0:
-                    corners += (runs[0][0] > 0) + (pos < m)
-    restricts = int(not family & table.full)
-    bits = family
-    while bits:
-        low = bits & -bits
-        addable = inside[low.bit_length() - 1]
-        members = family & addable
-        while members and addable:
-            member = members & -members
-            addable &= compat[member.bit_length() - 1]
-            members ^= member
-        restricts += addable != 0
-        bits ^= low
-    return corners, gaps, restricts

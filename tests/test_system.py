@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +20,13 @@ from islands import (
     is_maximal,
     max_elements,
     nested_min_system,
-    non_maximal_restrictions,
     restrict,
     subdivision_system,
 )
 from islands import system as system_module
+from islands.geometry import brick_corners
+from islands.search import ENGINES, _maximal_family_masks
+from islands.system import _universe_table
 
 from conftest import B, laminar_systems
 
@@ -62,10 +63,6 @@ class TestLaminar:
 
 
 FAMILY_SHAPES = [(3,), (3, 3), (3, 2, 2), (2, 2, 2, 2)]
-
-
-def reference_non_maximal_restrictions(system):
-    return [b for b in system if not is_maximal(restrict(system, b))]
 
 
 @st.composite
@@ -244,13 +241,15 @@ class TestRestrict:
 
     def test_restriction_property_over_every_small_shape(self):
         # full sweep of the same property over every shape the flat search
-        # allows, through the reference and through the mask check
+        # allows, through the reference and through the universe table's count
         for shape in SMALL_SHAPES:
             for system in enumerate_maximal_systems(shape):
                 assert shape.full_brick() in system
                 for member in system:
                     assert is_maximal(restrict(system, member))
-                assert non_maximal_restrictions(system) == []
+            table = _universe_table(shape, False)
+            for family in _maximal_family_masks(shape, False, ENGINES["flat"]):
+                assert table.violations(family)[2] == 0
 
     @pytest.mark.parametrize("cubic", [False, True])
     def test_unchecked_systems_equal_checked_ones(self, cubic):
@@ -267,26 +266,34 @@ class TestRestrict:
                     assert type(sub.bricks) is tuple
 
 
-class TestNonMaximalRestrictions:
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(arbitrary_families(), laminar_systems(), laminar_systems(cubic=True)))
-    def test_matches_the_reference(self, system):
-        assert non_maximal_restrictions(system) == reference_non_maximal_restrictions(system)
+class TestUniverseTable:
+    @pytest.mark.parametrize("cubic", [False, True])
+    @pytest.mark.parametrize("dims", [(4,), (3, 2), (2, 2, 2), (2, 1, 2, 2)])
+    def test_rows_decode_to_the_scalar_relations(self, dims, cubic):
+        shape = Shape(dims)
+        corners = list(brick_corners(shape, cubic))
+        bricks = [B(lo, hi) for lo, hi in corners]
+        table = _universe_table(shape, cubic)
 
-    def test_seeded_families_reach_both_outcomes(self):
-        # the comparison above is not vacuous: drawn families go both ways
-        rng = random.Random(11)
-        flagged = total = 0
-        for dims, cubic in itertools.product(FAMILY_SHAPES, (False, True)):
-            universe = list(enumerate_bricks(Shape(dims), cubic))
-            for _ in range(60):
-                picks = rng.sample(universe, rng.randint(0, min(8, len(universe))))
-                system = IslandSystem(Shape(dims), picks, cubic)
-                bad = reference_non_maximal_restrictions(system)
-                assert non_maximal_restrictions(system) == bad
-                flagged += bool(bad)
-                total += 1
-        assert 0 < flagged < total
+        def mask(keep):
+            return sum(1 << k for k, brick in enumerate(bricks) if keep(brick))
+
+        for k, brick in enumerate(bricks):
+            assert table.inside[k] == mask(lambda other: contains(brick, other))
+            assert table.compat[k] == mask(lambda other: other != brick
+                                           and compatible(brick, other))
+        for i in range(shape.ndim):
+            assert table.runs[i] == [(b.lo[i], b.hi[i], b.is_cell) for b in bricks]
+        assert table.full == mask(lambda brick: brick == shape.full_brick())
+        assert (table.full == 0) == (cubic and len(set(dims)) > 1)
+        for free, edges in enumerate(table.edges()):
+            others = [j for j in range(shape.ndim) if j != free]
+            faces = list(itertools.product((0, 1), repeat=shape.ndim - 1))
+            assert len(edges) == len(faces)
+            for edge, sides in zip(edges, faces):
+                assert edge == mask(lambda brick: all(
+                    brick.lo[j] == 0 if side == 0 else brick.hi[j] == dims[j]
+                    for j, side in zip(others, sides)))
 
 
 class TestGapProfiles:
