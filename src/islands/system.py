@@ -116,16 +116,16 @@ class _UniverseTable:
     maximal systems.  Brick ``k`` of :func:`brick_corners`' order is bit
     ``k``.  ``inside[k]`` holds the bricks inside brick ``k`` (itself
     included) and ``compat[k]`` the bricks nested with or disjoint from it,
-    itself left out, both read off :class:`IntervalMasks`.  ``runs[i][k]`` is
-    ``(lo_i, hi_i, is_cell)``, brick ``k``'s run on a box edge along axis
-    ``i``; ``full`` is the full brick's bit, 0 when it is not in the universe.
+    itself left out, both read off :class:`IntervalMasks`; ``full`` is the
+    full brick's bit, 0 when it is not in the universe.
 
     The table is n rows of n bits twice over, so only callers that have
-    passed a brick cap build it, and ``check`` never does.  :meth:`edges`
-    and :meth:`by_degree` are built on first use only.
+    passed a brick cap build it, and ``check`` never does.  :meth:`edges`,
+    the unit cells along each box edge, and :meth:`by_degree` are built on
+    first use only.
     """
 
-    __slots__ = ("shape", "cubic", "inside", "compat", "runs", "full", "_edges", "_by_degree")
+    __slots__ = ("shape", "cubic", "inside", "compat", "full", "_edges", "_by_degree")
 
     def __init__(self, shape: Shape, cubic: bool):
         masks = _universe_masks(shape, cubic)
@@ -136,9 +136,6 @@ class _UniverseTable:
             inside, around, apart = masks.relations(lo, hi)
             self.inside.append(inside)
             self.compat.append((inside | around | apart) & ~(1 << k))
-        cells = [all(h - a == 1 for a, h in zip(lo, hi)) for lo, hi in corners]
-        self.runs = [[(lo[i], hi[i], cell) for (lo, hi), cell in zip(corners, cells)]
-                     for i in range(shape.ndim)]
         full = ((0,) * shape.ndim, shape.dims)
         self.full = 1 << corners.index(full) if full in corners else 0
         self._edges = self._by_degree = None
@@ -153,21 +150,23 @@ class _UniverseTable:
             self._by_degree = [sum(mask_members(compat[k], rank)) for k in order]
         return self._by_degree
 
-    def edges(self) -> list[list[int]]:
-        """Per axis ``i``, the masks of the bricks on each box edge along ``i``,
-        in :func:`gap_profiles`' order; :data:`EDGE_CAP` is checked as there."""
+    def edges(self) -> list[list[list[int]]]:
+        """Per axis ``i``, per box edge along ``i`` in :func:`gap_profiles`'
+        order, the bits of the unit cells along that edge, in order along
+        ``i``.  The edge's cells sit at 0 or ``m_j - 1`` on every other axis
+        ``j``, by its low or high face, so both faces of a side of 1 give the
+        same list.  :data:`EDGE_CAP` is checked first, as there.
+        """
         if self._edges is None:
             _check_edge_cap(self.shape)
-            masks = _universe_masks(self.shape, self.cubic)
-            faces = [(masks.all & ~starts_from[1], masks.all & ~ends_before[m])
-                     for (starts_from, ends_before), m in zip(masks.axes, self.shape.dims)]
-            self._edges = []
-            for free in range(self.shape.ndim):
-                on_edge = [masks.all]
-                for j, face in enumerate(faces):
-                    if j != free:
-                        on_edge = [mask & side for mask in on_edge for side in face]
-                self._edges.append(on_edge)
+            dims = self.shape.dims
+            cells = {lo: 1 << k for k, (lo, hi) in enumerate(brick_corners(self.shape, self.cubic))
+                     if all(h - a == 1 for a, h in zip(lo, hi))}
+            self._edges = [
+                [[cells[at[:free] + (x,) + at[free:]] for x in range(m)]
+                 for at in itertools.product(*((0, n - 1) for j, n in enumerate(dims)
+                                               if j != free))]
+                for free, m in enumerate(dims)]
         return self._edges
 
     def violations(self, family: int) -> tuple[int, int, int]:
@@ -175,21 +174,27 @@ class _UniverseTable:
         a mask over this universe; neither laminarity nor maximality is assumed.
 
         The top members (:func:`max_elements`) are the members, the full brick
-        left out, inside no other such member.  With two or more, each box
-        edge's runs are the top members on it, walked under the rules of
-        :func:`gap_profiles`.  A corner cell is empty iff the axis-0 edge gap
-        at its end has a ``None`` flank, counted per corner vector: a side of
-        length 1 counts twice, and an edge with no run is one gap with two
-        ``None`` flanks.  The restriction count is one per member ``b`` whose
-        :func:`restrict` is not maximal, plus one for a missing full brick.
-        Translation by ``-b.lo`` maps the bricks inside ``b`` one to one onto
-        the universe of ``b.inner_shape()`` and keeps compatibility, so that
-        restriction is maximal iff no brick inside ``b`` is compatible with
-        every member inside ``b``; each such member drops out through its own
-        row, which leaves out its own bit.
+        left out, inside no other such member.  With two or more, the facts
+        are read off each edge's unit cells (:meth:`edges`): a top member
+        holds an edge's cell iff it touches that edge's faces and spans the
+        cell, so a cell is held iff it is inside some top member.  A gap is a
+        maximal run of cells that no top member holds, as in
+        :func:`gap_profiles`; its flank is ``None`` at the edge's end, and
+        otherwise elementary iff the flanking cell is itself a top member.  A
+        top member that is a unit cell lies inside every brick whose run
+        covers it, so it is the only top member holding its cell.  A corner
+        cell is empty iff no top member holds it; the corners are the first
+        and last cell of each edge along axis 0, so a side of length 1 counts
+        twice, once per corner vector.  The restriction count is one per
+        member ``b`` whose :func:`restrict` is not maximal, plus one for a
+        missing full brick.  Translation by ``-b.lo`` maps the bricks inside
+        ``b`` one to one onto the universe of ``b.inner_shape()`` and keeps
+        compatibility, so that restriction is maximal iff no brick inside
+        ``b`` is compatible with every member inside ``b``; each such member
+        drops out through its own row, which leaves out its own bit.
         """
         inside, compat = self.inside, self.compat
-        below = 0  # the members strictly inside a member other than the full brick
+        below = 0  # the bricks strictly inside a member other than the full brick
         restricts = int(not family & self.full)
         bits = family
         while bits:
@@ -207,29 +212,22 @@ class _UniverseTable:
         top = family & ~self.full & ~below
         corners = gaps = 0
         if top & (top - 1):
-            for free, (edges, runs_at, m) in enumerate(zip(self.edges(), self.runs,
-                                                           self.shape.dims)):
-                for edge in edges:
-                    on = edge & top
-                    if not on:  # one gap, two None flanks
-                        gaps += 1
-                        corners += 2 if free == 0 else 0
-                        continue
-                    runs = []
-                    while on:
-                        low = on & -on
-                        runs.append(runs_at[low.bit_length() - 1])
-                        on ^= low
-                    runs.sort()
-                    pos, left = 0, None
-                    for a, b, cell in runs:
-                        if a > pos:
-                            gap = a - pos
-                            gaps += left is None or gap > 2 or gap == 2 and left and cell
-                        pos, left = max(pos, b), cell
-                    gaps += pos < m
+            covered = below | top  # the bricks inside some top member
+            for free, edges in enumerate(self.edges()):
+                for cells in edges:
                     if free == 0:
-                        corners += (runs[0][0] > 0) + (pos < m)
+                        corners += (not covered & cells[0]) + (not covered & cells[-1])
+                    flank, gap = None, 0
+                    for cell in cells:
+                        if not covered & cell:
+                            gap += 1
+                            continue
+                        elementary = top & cell > 0
+                        if gap:
+                            gaps += flank is None or gap > 2 or gap == 2 and flank and elementary
+                            gap = 0
+                        flank = elementary
+                    gaps += gap > 0  # a gap at the edge's end
         return corners, gaps, restricts
 
 

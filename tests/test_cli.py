@@ -853,6 +853,14 @@ class TestVerify:
             restricts += system.shape.full_brick() not in system.bricks
             return corners, gaps, restricts
 
+        def counts(system):
+            monkeypatch.setattr("islands.verify._maximal_family_masks",
+                                lambda s, cubic, cap: family_masks(s, [system]))
+            rows = corollary_rows([system.shape])[:3]
+            actual = tuple(row["actual"] for row in rows)
+            assert actual == scalar_counts(system), system
+            return actual
+
         rng = random.Random(13)
         shapes = [Shape(dims) for d in range(1, 4)
                   for dims in itertools.product((1, 2, 3), repeat=d)]
@@ -864,13 +872,29 @@ class TestVerify:
                 # not laminar in general, and the full brick only sometimes
                 bricks = rng.sample(universe, rng.randint(0, min(8, len(universe))))
                 system = IslandSystem(shape, bricks + [shape.full_brick()] * rng.randint(0, 1))
-                monkeypatch.setattr("islands.verify._maximal_family_masks",
-                                    lambda s, cubic, cap: family_masks(s, [system]))
-                rows = corollary_rows([shape])[:3]
-                actual = tuple(row["actual"] for row in rows)
-                assert actual == scalar_counts(system), system
-                nonzero = [n + (count > 0) for n, count in zip(nonzero, actual)]
+                nonzero = [n + (count > 0) for n, count in zip(nonzero, counts(system))]
         assert min(nonzero) > 100, nonzero
+
+        # Sides of 3 or less leave no interior gap longer than 1, and uniform draws on
+        # longer edges hit neither branch below; unit cells among the bricks hit both.
+        branches = [0, 0]  # a gap of 2 between two cells, a flanked gap longer than 2
+        for _ in range(20):
+            for shape in [Shape((6,)), Shape((7,)), Shape((5, 2)), Shape((6, 3)),
+                          Shape((5, 1, 2))]:
+                universe = list(enumerate_bricks(shape))
+                cells = [brick for brick in universe if brick.is_cell]
+                bricks = rng.sample(cells, rng.randint(0, 4)) + rng.sample(universe,
+                                                                           rng.randint(0, 4))
+                system = IslandSystem(shape, bricks + [shape.full_brick()] * rng.randint(0, 1))
+                counts(system)
+                members = max_elements(system)
+                if len(members) > 1:
+                    gaps = [(gap.length, gap.left_elementary, gap.right_elementary)
+                            for profile in gap_profiles(shape, members) for gap in profile.gaps]
+                    branches[0] += (2, True, True) in gaps
+                    branches[1] += any(length > 2 and None not in flanks
+                                       for length, *flanks in gaps)
+        assert min(branches) > 0, branches
 
     def test_no_edge_table_is_built_without_two_top_members(self):
         # 3 bricks and 2,359,296 edges: no maximal system has two top members, so

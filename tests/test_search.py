@@ -867,6 +867,18 @@ class TestOracleEquivalence:
         config = SearchConfig(mode=mode, cubic=cubic, brick_count_cap=216)
         assert extremal_size(shape, config).value == flat_extremal_size(shape, config).value
 
+    # Max runs on universes of up to 324 bricks that both engines finish in well under a
+    # second, each capped at its own brick count; cubic 4x4x4 is left out (front max 0.4 s).
+    @pytest.mark.parametrize("dims,cubic,bricks,value", [
+        ((6, 4), False, 210, 16), ((4, 4, 2), False, 300, 15), ((3, 3, 2, 2), False, 324, 15),
+        ((7, 7), True, 140, 21)], ids=["6,4", "4,4,2", "3,3,2,2", "7,7-cubic"])
+    def test_engines_agree_on_larger_max_runs(self, dims, cubic, bricks, value):
+        shape = Shape(dims)
+        assert brick_count(shape, cubic) == bricks
+        config = SearchConfig(mode="max", cubic=cubic, brick_count_cap=bricks)
+        assert extremal_size(shape, config).value == value
+        assert flat_extremal_size(shape, config).value == value
+
 
 # Every canonical shape with d <= 3 and sides <= 6 whose universe has at most
 # 20 bricks, under each cubic flag.

@@ -282,18 +282,27 @@ class TestUniverseTable:
             assert table.inside[k] == mask(lambda other: contains(brick, other))
             assert table.compat[k] == mask(lambda other: other != brick
                                            and compatible(brick, other))
-        for i in range(shape.ndim):
-            assert table.runs[i] == [(b.lo[i], b.hi[i], b.is_cell) for b in bricks]
         assert table.full == mask(lambda brick: brick == shape.full_brick())
         assert (table.full == 0) == (cubic and len(set(dims)) > 1)
+        faces = list(itertools.product((0, 1), repeat=shape.ndim - 1))
+        unit_sides = 0
         for free, edges in enumerate(table.edges()):
             others = [j for j in range(shape.ndim) if j != free]
-            faces = list(itertools.product((0, 1), repeat=shape.ndim - 1))
             assert len(edges) == len(faces)
-            for edge, sides in zip(edges, faces):
-                assert edge == mask(lambda brick: all(
-                    brick.lo[j] == 0 if side == 0 else brick.hi[j] == dims[j]
-                    for j, side in zip(others, sides)))
+            for cells, sides in zip(edges, faces):
+                # one bit per cell, the cells along the edge in order, each on the chosen faces
+                assert all(bit.bit_count() == 1 for bit in cells)
+                listed = [bricks[bit.bit_length() - 1] for bit in cells]
+                assert all(brick.is_cell for brick in listed)
+                assert [brick.lo[free] for brick in listed] == list(range(dims[free]))
+                assert all(brick.lo[j] == 0 if side == 0 else brick.hi[j] == dims[j]
+                           for brick in listed for j, side in zip(others, sides))
+                for j, side in zip(others, sides):
+                    if dims[j] == 1:  # both faces of a side of 1 give the same list
+                        flipped = tuple(1 - s if o == j else s for o, s in zip(others, sides))
+                        assert cells == edges[faces.index(flipped)]
+                        unit_sides += 1
+        assert (unit_sides > 0) == (1 in dims)
 
 
 class TestGapProfiles:
