@@ -548,43 +548,48 @@ def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None)
 def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     """Reference search: the extreme maximal system, by bounded Bron–Kerbosch.
 
-    Shares no decomposition machinery with :func:`extremal_size`.  Below a node
-    with candidates P, every maximal family keeps the chosen R and takes at least
-    one brick of P and at most one of each of its :func:`_colour_classes`: max
-    prunes on ``|R| + classes <= best``, min on ``|R| + 1 >= best``.  Only branches
-    that cannot strictly beat the incumbent go, so the first extreme family in
-    walk order, the witness, is kept.  A largest laminar family is maximal, as
-    any brick it could take would make it larger, so max takes its optimum from
-    :func:`_largest_clique` first and walks from ``best = opt − 1`` to its first
-    family of size ``opt``.  Restricted to small brick universes by default.
+    Shares no decomposition machinery with :func:`extremal_size`.  Min is the
+    first family of :func:`_smallest_families`.  A largest laminar family is
+    maximal, as any brick it could take would make it larger, so max takes its
+    optimum from :func:`_largest_clique` and walks to the first family of that
+    size, dropping a node once ``|R|`` plus its candidates' :func:`_colour_classes`
+    cannot reach it; a walk that never does raises.  Each witness is the first
+    extreme family in walk order.  Restricted to small brick universes by default.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
+        if config.mode == "min":
+            value, (family,) = _smallest_families(shape, config.cubic, counter, ties=False)
+        else:
+            value = _largest_clique(_universe_table(shape, config.cubic).by_degree(), counter)
+
+            def prune(size: int, pmask: int, compat: list[int]) -> bool:  # |R| + classes < value
+                classes = _colour_classes(pmask, compat)
+                return not any(itertools.islice(classes, value - 1 - size, None))
+
+            walk = _maximal_families(shape, config.cubic, counter, prune)
+            family = next(f for f in walk if f.bit_count() == value)
         corners = list(brick_corners(shape, config.cubic))
-        maximizing = config.mode == "max"
-        best, best_mask = len(corners) + 1, 0  # min: beaten by any family
-        if maximizing:  # beaten by a largest family only
-            best = _largest_clique(_universe_table(shape, config.cubic).by_degree(), counter) - 1
-
-        def prune(size: int, pmask: int, compat: list[int]) -> bool:
-            if not maximizing:
-                return size + 1 >= best
-            room = best - size  # classes a family below must outnumber to beat best
-            for _ in _colour_classes(pmask, compat):
-                if room <= 0:
-                    return False
-                room -= 1
-            return True
-
-        for mask in _maximal_families(shape, config.cubic, counter, prune):
-            size = mask.bit_count()
-            if size > best if maximizing else size < best:
-                best, best_mask = size, mask
-                if maximizing:
-                    break
-        return best, [Brick(lo, hi) for lo, hi in mask_members(best_mask, corners)]
+        return value, [Brick(lo, hi) for lo, hi in mask_members(family, corners)]
 
     return _run(shape, config, "flat", solve)
+
+
+def _smallest_families(shape: Shape, cubic: bool, counter: _Counter,
+                       ties: bool) -> tuple[int, list[int]]:
+    """The least size of a maximal family of ``(shape, cubic)`` and, as masks in
+    walk order, the first family of that size, or with ``ties`` every one.  The
+    walk drops a node with candidates left on ``|R| + 1 - ties >= best``, ``best``
+    the least size yet: every family below it has more than ``|R|`` members."""
+    best, smallest = brick_count(shape, cubic) + 1, []
+    for family in _maximal_families(shape, cubic, counter,
+                                    lambda size, pmask, compat: size + 1 - ties >= best):
+        size = family.bit_count()
+        if size < best:
+            best, smallest = size, [family]
+        elif ties and size == best:
+            smallest.append(family)
+    return best, smallest
 
 
 def _largest_clique(compat: list[int], counter: _Counter) -> int:
@@ -642,7 +647,8 @@ def _maximal_families(shape: Shape, cubic: bool, counter: _Counter,
     With P empty that prune returns on any nonempty X, so a node that gets past
     it with P = X = ∅ has nothing left to add, and R is maximal.  A node with
     P ≠ ∅ also dies when ``prune(|R|, P, compat)``, ``compat[i]`` being brick i's compatible
-    mask; a hook that never fires lists every maximal family, in the order of their sorted members.
+    mask: flat min's size bound or flat max's colour bound, both set in this module;
+    a hook that never fires lists every maximal family, in the order of their sorted members.
 
     The walk is one loop over an explicit stack of ``(R, P, X)`` nodes.  A node
     pushes its exclude child, then its include child, and is counted and
@@ -692,11 +698,8 @@ def enumerate_maximal_systems(
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)
 
 
-def _maximal_family_masks(shape: Shape, cubic: bool, cap: int,
-                          prune: Callable[[int, int, list[int]], bool] = lambda *node: False
-                          ) -> Iterator[int]:
+def _maximal_family_masks(shape: Shape, cubic: bool, cap: int) -> Iterator[int]:
     """:func:`enumerate_maximal_systems` undecoded: each maximal family as a mask
-    over the universe, in the same order, with the brick cap checked on the call.
-    ``prune`` is :func:`_maximal_families`' hook; the default never fires."""
+    over the universe, in the same order, with the brick cap checked on the call."""
     check_brick_cap(shape, cubic, cap)
-    return _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP), prune)
+    return _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP), lambda *node: False)

@@ -14,7 +14,7 @@ from typing import Any
 
 from .geometry import Brick, Shape
 from .search import ENGINE_VERSION, ExtremalReport
-from .system import IslandSystem
+from .system import IslandSystem, is_laminar, is_maximal
 
 DEFAULT_CACHE_PATH = "./islands-cache.jsonl"
 CACHE_PATH_ENV_VAR = "ISLANDS_CACHE"
@@ -117,14 +117,16 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
     that do not decode and JSON nested past the decoder's recursion limit.
     The last key-matching row decides: it is a miss (``None``) when its report
     is missing or malformed, when the report or its witness describes another
-    shape or cubic flag than the key, when the report has another mode, or
-    when the witness does not hold ``value`` bricks.  Whether the witness is
-    laminar and maximal is not checked here.
+    shape or cubic flag than the key, when the report has another mode, when
+    the witness does not hold ``value`` bricks, or when it is not a laminar and
+    maximal system.  A missing file is a miss too.
     """
-    if not os.path.exists(path):
-        return None
     found = None
-    with open(path, "rb") as handle:
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:  # opened once, not checked first: it may go in between
+        return None
+    with handle:
         for line in handle:
             try:
                 row = json.loads(line.decode())  # not UTF-8: UnicodeDecodeError
@@ -147,7 +149,8 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
         report.mode == key["mode"],
         len(witness) == report.value,
     )
-    return report if all(checks) else None
+    certified = all(checks) and is_laminar(witness.bricks) and is_maximal(witness)
+    return report if certified else None
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:

@@ -26,7 +26,9 @@ from .search import (
     ExtremalReport,
     SearchConfig,
     check_brick_cap,
+    _Counter,
     _maximal_family_masks,
+    _smallest_families,
     extremal_size,
     flat_extremal_size,
 )
@@ -168,39 +170,30 @@ def classification_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> lis
     """The minimum-size generator emits exactly the oracle's minimum systems.
 
     Both sides are sets of masks over the shape's universe: literal brick sets,
-    not up to symmetry.  A generated system is the OR of its corner pairs' bits
-    or, with a pair outside the universe, the frozenset of its pairs, which no
-    oracle mask equals.  The oracle's walk drops a node with candidates left
-    once ``|R| + 1`` exceeds the smallest size yet, as every family below it is
-    larger, so each family that ties the smallest is still listed.  The
-    expected column holds the generator's count, the actual column the
-    oracle's; the status reflects full set equality and no repeated system.
+    not up to symmetry.  A generated system is the OR of its corner pairs' bits;
+    a pair outside the universe sets the bit just past it, which no oracle mask
+    has.  The oracle is :func:`~islands.search._smallest_families` with ties
+    kept, every smallest maximal family once.  The brick cap is checked before
+    either side starts.  The expected column holds the generator's count, the
+    actual column the oracle's; the status reflects full set equality and no
+    repeated system.
     """
     rows = []
     for shape in shapes:
         try:
-            # checks the cap before anything is generated; the prune reads the
-            # smallest size so far, set below before the first family is asked for
-            families = _maximal_family_masks(shape, False, cap,
-                                             lambda size, pmask, compat: size + 1 > best)
-            bits = {corners: 1 << k for k, corners in enumerate(brick_corners(shape, False))}
-            listed = []
-            for system in _minimal_family_corners(shape):
-                masks = {bits.get(corners) for corners in system}  # distinct bits: sum is OR
-                listed.append(frozenset(system) if None in masks else sum(masks))
-            generated = set(listed)
-            best, smallest = len(bits), set()  # no family outgrows the universe
-            for family in families:
-                size = family.bit_count()
-                if size < best:
-                    best, smallest = size, set()
-                if size == best:
-                    smallest.add(family)
+            check_brick_cap(shape, False, cap)
+            best, smallest = _smallest_families(shape, False, _Counter(DEFAULT_NODE_CAP),
+                                                ties=True)
         except CapExceeded:
             rows.append(_row(shape, False, "classification", "", "", SKIPPED))
             continue
+        bits = {corners: 1 << k for k, corners in enumerate(brick_corners(shape, False))}
+        outside = 1 << len(bits)
+        listed = [sum({bits.get(corners, outside) for corners in system})  # distinct bits: OR
+                  for system in _minimal_family_corners(shape)]
+        generated = set(listed)
         # hence all generated of size best, and each once
-        ok = (best == min_brick_system_size(shape) and generated == smallest
+        ok = (best == min_brick_system_size(shape) and generated == set(smallest)
               and len(listed) == len(generated))
         rows.append(
             _row(shape, False, "classification", len(generated), len(smallest),

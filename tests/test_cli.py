@@ -19,7 +19,8 @@ from islands.cli import build_parser, main
 from islands.constructors import _minimal_family_corners
 from islands.geometry import brick_corners, brick_count
 from islands.search import ENGINE_VERSION
-from islands.serialize import dumps_canonical, system_from_dict, system_to_dict
+from islands.serialize import (cache_key, cache_lookup, dumps_canonical, system_from_dict,
+                               system_to_dict)
 from islands.verify import (FAIL, SKIPPED, Searcher, canonical_shapes, classification_rows,
                             corollary_rows)
 from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, enumerate_bricks,
@@ -412,6 +413,12 @@ class TestCacheRows:
         assert (code, second, err) == (0, first, "")
         assert cache.read_bytes().count(b"\n") == 2  # replayed, nothing appended
 
+    def test_a_cache_file_gone_before_it_is_opened_is_a_miss(self, monkeypatch, tmp_path):
+        # as if the file were removed between an existence check and the open
+        monkeypatch.setattr("islands.serialize.os.path.exists", lambda path: True)
+        key = cache_key(Shape((2, 2)), False, "min", "front")
+        assert cache_lookup(str(tmp_path / "gone.jsonl"), key) is None
+
     def test_row_after_a_torn_line_is_replayed(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_bytes(b'{"shape":[2,2],"cub')  # a killed writer's last line
@@ -540,22 +547,31 @@ class TestCacheRows:
         assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
         assert len(forged.read_text().strip().splitlines()) == 2
 
-    @pytest.mark.parametrize("flags,edit", [
-        ((), lambda report: report["witness"].update(shape=[3, 3])),
-        (("--cubic",), lambda report: report["witness"].update(cubic=False)),
-        ((), lambda report: report.update(value=4)),
-    ], ids=["witness-shape", "witness-cubic", "value-is-not-the-witness-size"])
-    def test_row_whose_witness_disagrees_is_recomputed(self, capsys, tmp_path, flags, edit):
-        code, fresh, _ = run(capsys, "search", "--shape", "2,2", *flags, "--no-cache")
+    @pytest.mark.parametrize("shape,flags,edit", [
+        ("2,2", (), lambda report: report["witness"].update(shape=[3, 3])),
+        ("2,2", ("--cubic",), lambda report: report["witness"].update(cubic=False)),
+        ("2,2", (), lambda report: report.update(value=4)),
+        # two crossing strips under the full box: 3 bricks, not laminar
+        ("2,2", (), lambda report: report["witness"].update(
+            bricks=[[[0, 0], [1, 2]], [[0, 0], [2, 1]], [[0, 0], [2, 2]]])),
+        # the full box and its four corner cells: laminar, but [0,3]x[0,1] still fits
+        ("3,3", (), lambda report: report["witness"].update(
+            bricks=[[[0, 0], [3, 3]], [[0, 0], [1, 1]], [[2, 0], [3, 1]], [[0, 2], [1, 3]],
+                    [[2, 2], [3, 3]]])),
+    ], ids=["witness-shape", "witness-cubic", "value-is-not-the-witness-size",
+            "witness-not-laminar", "witness-not-maximal"])
+    def test_row_whose_witness_disagrees_is_recomputed(self, capsys, tmp_path, shape, flags,
+                                                       edit):
+        code, fresh, _ = run(capsys, "search", "--shape", shape, *flags, "--no-cache")
         assert code == 0
         report = json.loads(fresh)
         edit(report)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(dumps_canonical({
-            "shape": [2, 2], "cubic": bool(flags), "mode": "min", "engine": "front",
+            "shape": report["shape"], "cubic": bool(flags), "mode": "min", "engine": "front",
             "engine_version": ENGINE_VERSION, "report": report,
         }) + "\n")
-        code, out, _ = run(capsys, "search", "--shape", "2,2", *flags, "--cache", str(cache))
+        code, out, _ = run(capsys, "search", "--shape", shape, *flags, "--cache", str(cache))
         assert code == 0
         assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
         assert len(cache.read_text().strip().splitlines()) == 2

@@ -787,6 +787,14 @@ class TestFlatBranchAndBound:
         config.node_cap = 2444
         assert flat_extremal_size(Shape((5, 4)), config).nodes_explored == 2444
 
+    def test_a_walk_that_never_reaches_the_optimum_raises(self, monkeypatch):
+        # an optimum one too large has no family of its size, so no witness: no report
+        largest = search._largest_clique
+        monkeypatch.setattr(search, "_largest_clique",
+                            lambda compat, counter: largest(compat, counter) + 1)
+        with pytest.raises(StopIteration):
+            flat_extremal_size(Shape((3, 3)), SearchConfig(mode="max"))
+
 
 # Every axis order with d <= 3 and sides <= 6 whose universe has at most 40
 # bricks, under each cubic flag.
