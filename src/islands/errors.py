@@ -20,3 +20,7 @@ class CapExceeded(IslandError, RuntimeError):
         super().__init__(message)
         self.nodes_explored = nodes_explored
         self.memo_hits = memo_hits
+
+
+class WitnessNotFound(IslandError, RuntimeError):
+    """An engine fault: a search's witness walk met no family of its optimum's size."""

@@ -9,11 +9,11 @@ Two engines compute the same quantities by deliberately different routes:
   optimum therefore decomposes over front members, and subproblems can be
   memoized by their side-length multiset.
 
-* :func:`flat_extremal_size` never decomposes: it runs Bron–Kerbosch over
-  the lexicographic brick list with include/exclude decisions, and its prune
-  of branches that cannot reach a maximal family also decides maximality.
-  A size bound drops branches that cannot beat the best family found so far;
-  max takes that best from a maximum-clique search before it walks.
+* :func:`flat_extremal_size` never decomposes.  Min takes its optimum from a
+  walk that branches on the undominated brick with the fewest dominators, max
+  from a maximum-clique search; the witness is then the first family of that
+  size in Bron–Kerbosch over the lexicographic brick list, whose prune of
+  branches that cannot reach a maximal family also decides maximality.
 
 The front characterization of maximality is the load-bearing idea and is
 not trusted axiomatically: the test suite checks the two engines against
@@ -36,12 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import CapExceeded
+from .errors import CapExceeded, WitnessNotFound
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_table
 
-ENGINE_VERSION = "8"
+ENGINE_VERSION = "9"
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -548,18 +548,20 @@ def extremal_size(shape: Shape, config: SearchConfig, store: dict | None = None)
 def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     """Reference search: the extreme maximal system, by bounded Bron–Kerbosch.
 
-    Shares no decomposition machinery with :func:`extremal_size`.  Min is the
-    first family of :func:`_smallest_families`.  A largest laminar family is
-    maximal, as any brick it could take would make it larger, so max takes its
-    optimum from :func:`_largest_clique` and walks to the first family of that
-    size, dropping a node once ``|R|`` plus its candidates' :func:`_colour_classes`
-    cannot reach it; a walk that never does raises.  Each witness is the first
-    extreme family in walk order.  Restricted to small brick universes by default.
+    Shares no decomposition machinery with :func:`extremal_size`.  Min takes its
+    optimum from :func:`_smallest_families`; max from :func:`_largest_clique`, as a
+    largest laminar family is maximal.  The lex walk then runs to its first family
+    of that size, the witness, dropping a node once ``|R|`` reaches it (min) or
+    ``|R|`` plus its candidates' :func:`_colour_classes` cannot (max); a walk that
+    never reaches it raises :class:`~islands.errors.WitnessNotFound`.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
         if config.mode == "min":
-            value, (family,) = _smallest_families(shape, config.cubic, counter, ties=False)
+            value = _smallest_families(shape, config.cubic, counter, ties=False)[0]
+
+            def prune(size: int, pmask: int, compat: list[int]) -> bool:  # |R| + 1 > value
+                return size >= value
         else:
             value = _largest_clique(_universe_table(shape, config.cubic).by_degree(), counter)
 
@@ -567,8 +569,10 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
                 classes = _colour_classes(pmask, compat)
                 return not any(itertools.islice(classes, value - 1 - size, None))
 
-            walk = _maximal_families(shape, config.cubic, counter, prune)
-            family = next(f for f in walk if f.bit_count() == value)
+        walk = _maximal_families(shape, config.cubic, counter, prune)
+        family = next((f for f in walk if f.bit_count() == value), None)
+        if family is None:
+            raise WitnessNotFound(f"no {config.mode} family of size {value} in {shape}")
         corners = list(brick_corners(shape, config.cubic))
         return value, [Brick(lo, hi) for lo, hi in mask_members(family, corners)]
 
@@ -578,12 +582,12 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
 def _smallest_families(shape: Shape, cubic: bool, counter: _Counter,
                        ties: bool) -> tuple[int, list[int]]:
     """The least size of a maximal family of ``(shape, cubic)`` and, as masks in
-    walk order, the first family of that size, or with ``ties`` every one.  The
-    walk drops a node with candidates left on ``|R| + 1 - ties >= best``, ``best``
-    the least size yet: every family below it has more than ``|R|`` members."""
+    :func:`_dominating_families` order, the first family of that size, or with ``ties``
+    every one.  A node with undominated bricks goes on ``|R| + 1 - ties >= best``,
+    ``best`` the least size yet: every family below it has more than ``|R|`` members."""
     best, smallest = brick_count(shape, cubic) + 1, []
-    for family in _maximal_families(shape, cubic, counter,
-                                    lambda size, pmask, compat: size + 1 - ties >= best):
+    for family in _dominating_families(shape, cubic, counter,
+                                       lambda size: size + 1 - ties >= best):
         size = family.bit_count()
         if size < best:
             best, smallest = size, [family]
@@ -680,6 +684,47 @@ def _maximal_families(shape: Shape, cubic: bool, counter: _Counter,
         stack.append((rmask | low, pmask & row, xmask & row))
 
 
+def _dominating_families(shape: Shape, cubic: bool, counter: _Counter,
+                         prune: Callable[[int], bool]) -> Iterator[int]:
+    """Every maximal family of ``(shape, cubic)`` once, as a mask, not in lex order: an
+    independent dominating set of the incompatibility graph, found by fail-first
+    branching (Haralick & Elliott 1980) as in exact minimum independent domination.
+
+    A node ``(R, |R|, P, U)`` holds U, the bricks outside R compatible with all of
+    it, and P, U less the bricks excluded so far.  It is counted once, yields R
+    when U is empty, and else goes on ``prune(|R|)``.  Otherwise it takes the u in U
+    with the fewest dominators ``P & ~compat[u]`` (u itself and the candidates
+    incompatible with it): every family below holds one, so none means a dead node.
+    One child per dominator, in bit order, adds it with the earlier ones excluded, so
+    each family is met once.  Children are pushed last first, so nodes are popped in
+    preorder and ``prune`` sees the incumbent kept from every family yielded before.
+    """
+    compat = _universe_table(shape, cubic).compat
+    clash = [~row for row in compat]  # each brick's incompatible bricks, itself included
+    full = (1 << len(compat)) - 1
+    stack = [(0, 0, full, full)]
+    while stack:
+        rmask, size, pmask, umask = stack.pop()
+        counter.add(1)
+        if umask == 0:
+            yield rmask
+            continue
+        if prune(size):
+            continue
+        fewest, todo, rest = len(compat) + 1, 0, umask
+        while rest and fewest:  # the first brick of U with the fewest dominators
+            low = rest & -rest
+            rest ^= low
+            doms = pmask & clash[low.bit_length() - 1]
+            if (count := doms.bit_count()) < fewest:
+                fewest, todo = count, doms
+        while todo:  # left in todo: the dominators before v, which its child excludes
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            row = compat[v]
+            stack.append((rmask | 1 << v, size + 1, pmask & ~todo & row, umask & row))
+
+
 def enumerate_maximal_systems(
     shape: Shape, cubic: bool = False, cap: int = ENGINES["flat"]
 ) -> Iterator[IslandSystem]:
@@ -693,13 +738,14 @@ def enumerate_maximal_systems(
     listed in brick order and every brick fits the shape, so a family decoded
     from it is already sorted and valid, and is wrapped without re-checking.
     """
-    families = _maximal_family_masks(shape, cubic, cap)
+    check_brick_cap(shape, cubic, cap)
+    families = _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP), lambda *node: False)
     bricks = [Brick(lo, hi) for lo, hi in brick_corners(shape, cubic)]
     return (_sorted_system(shape, mask_members(mask, bricks), cubic) for mask in families)
 
 
 def _maximal_family_masks(shape: Shape, cubic: bool, cap: int) -> Iterator[int]:
-    """:func:`enumerate_maximal_systems` undecoded: each maximal family as a mask
-    over the universe, in the same order, with the brick cap checked on the call."""
+    """Each maximal family as a mask, in :func:`_dominating_families` order, not the
+    lex order of :func:`enumerate_maximal_systems`; the brick cap is checked on the call."""
     check_brick_cap(shape, cubic, cap)
-    return _maximal_families(shape, cubic, _Counter(DEFAULT_NODE_CAP), lambda *node: False)
+    return _dominating_families(shape, cubic, _Counter(DEFAULT_NODE_CAP), lambda size: False)

@@ -173,7 +173,8 @@ def classification_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> lis
     not up to symmetry.  A generated system is the OR of its corner pairs' bits;
     a pair outside the universe sets the bit just past it, which no oracle mask
     has.  The oracle is :func:`~islands.search._smallest_families` with ties
-    kept, every smallest maximal family once.  The brick cap is checked before
+    kept, every smallest maximal family once, from the domination walk, whose
+    order the set comparison does not read.  The brick cap is checked before
     either side starts.  The expected column holds the generator's count, the
     actual column the oracle's; the status reflects full set equality and no
     repeated system.
@@ -212,7 +213,8 @@ def corollary_rows(shapes: list[Shape], cap: int = ORACLE_BRICK_CAP) -> list[dic
     a member.  onedim: every maximal system of a segment of length m has
     exactly m members (checked for m up to ``ONEDIM_MAX``).
 
-    Each system is a mask straight from the flat walk; the tests hold the corner,
+    Each system is a mask straight from the flat domination walk, in its order,
+    which the summed counts do not read; the tests hold the corner,
     gap and restriction counts (the universe table's ``violations``) to scalar
     corner counts, ``gap_profiles`` of ``max_elements``, ``restrict`` and ``is_maximal``.
     """

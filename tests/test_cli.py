@@ -768,7 +768,7 @@ class TestVerify:
             raise AssertionError("generated past the brick cap")
 
         monkeypatch.setattr("islands.verify._minimal_family_corners", untouched)
-        monkeypatch.setattr("islands.search._maximal_families", untouched)
+        monkeypatch.setattr("islands.search._dominating_families", untouched)
         (row,) = classification_rows([Shape((9, 9))])
         assert row["status"] == SKIPPED
 

@@ -34,6 +34,7 @@ from islands import (
 )
 from islands import search
 from islands.geometry import IntervalMasks, brick_corners, mask_members
+from islands.errors import WitnessNotFound
 from islands.search import DEFAULT_NODE_CAP, ENGINE_VERSION, ENGINES
 from islands.serialize import dumps_canonical, system_to_dict
 from islands.system import _universe_table
@@ -551,7 +552,7 @@ def test_outcome_corpus_is_pinned():
     # moving one needs an ENGINE_VERSION bump, as in test_engine_counters_are_pinned.
     digests = {cap: hashlib.sha256(repr(sorted(fresh_outcomes(cap).items())).encode()).hexdigest()
                for cap in OUTCOME_DIGESTS}
-    assert (ENGINE_VERSION, digests) == ("8", OUTCOME_DIGESTS)
+    assert (ENGINE_VERSION, digests) == ("9", OUTCOME_DIGESTS)
 
 
 class UnfoldedEngine(search._FrontEngine):
@@ -787,13 +788,38 @@ class TestFlatBranchAndBound:
         config.node_cap = 2444
         assert flat_extremal_size(Shape((5, 4)), config).nodes_explored == 2444
 
+    # Flat 5,4 min spends 13,336 nodes in the domination walk and 9 more in the lex walk
+    # to its witness.
+    @pytest.mark.parametrize("node_cap", [500, 13335, 13336, 13344],
+                             ids=["domination-500", "domination-last", "walk-first", "walk-last"])
+    def test_node_cap_stops_either_phase_of_the_min_search(self, node_cap):
+        config = SearchConfig(mode="min", brick_count_cap=150, node_cap=node_cap)
+        with pytest.raises(CapExceeded) as err:
+            flat_extremal_size(Shape((5, 4)), config)
+        assert err.value.nodes_explored == node_cap + 1
+        assert str(err.value) == f"node cap {node_cap} exceeded"
+        config.node_cap = 13345
+        assert flat_extremal_size(Shape((5, 4)), config).nodes_explored == 13345
+
     def test_a_walk_that_never_reaches_the_optimum_raises(self, monkeypatch):
         # an optimum one too large has no family of its size, so no witness: no report
         largest = search._largest_clique
         monkeypatch.setattr(search, "_largest_clique",
                             lambda compat, counter: largest(compat, counter) + 1)
-        with pytest.raises(StopIteration):
+        with pytest.raises(WitnessNotFound):
             flat_extremal_size(Shape((3, 3)), SearchConfig(mode="max"))
+        # a StopIteration would end the map early and leave a silently shorter list
+        shapes = [Shape((2, 2)), Shape((3, 3))]
+        with pytest.raises(WitnessNotFound):
+            list(map(lambda s: flat_extremal_size(s, SearchConfig(mode="max")).value, shapes))
+
+    def test_a_min_walk_that_never_reaches_the_optimum_raises(self, monkeypatch):
+        # an optimum one too small has no family of its size either
+        smallest = search._smallest_families
+        monkeypatch.setattr(search, "_smallest_families",
+                            lambda *args, **kwargs: (smallest(*args, **kwargs)[0] - 1, []))
+        with pytest.raises(WitnessNotFound):
+            flat_extremal_size(Shape((3, 3)), SearchConfig(mode="min"))
 
 
 # Every axis order with d <= 3 and sides <= 6 whose universe has at most 40
@@ -887,6 +913,19 @@ class TestOracleEquivalence:
         assert extremal_size(shape, config).value == value
         assert flat_extremal_size(shape, config).value == value
 
+    # Min runs that the domination walk finishes in about 0.2 s each (the lex walk alone
+    # took about 1 s): 6x4 has 210 bricks and 5x5 225.
+    @pytest.mark.parametrize("dims,bricks,value", [((6, 4), 210, 9), ((5, 5), 225, 9)],
+                             ids=["6,4", "5,5"])
+    def test_engines_agree_on_larger_min_runs(self, dims, bricks, value):
+        shape = Shape(dims)
+        assert brick_count(shape) == bricks
+        config = SearchConfig(mode="min", brick_count_cap=bricks)
+        assert extremal_size(shape, config).value == value
+        report = flat_extremal_size(shape, config)
+        assert report.value == len(report.witness) == value
+        assert is_maximal(report.witness)
+
 
 # Every canonical shape with d <= 3 and sides <= 6 whose universe has at most
 # 20 bricks, under each cubic flag.
@@ -897,6 +936,36 @@ SMALL_UNIVERSES = [
     for cubic in (False, True)
     if brick_count(Shape(dims), cubic) <= 20
 ]
+
+
+def family_walks(dims, cubic):
+    """The families of the domination walk and of the lex walk, both unpruned."""
+    shape = Shape(dims)
+    dominating = list(search._dominating_families(shape, cubic, search._Counter(DEFAULT_NODE_CAP),
+                                                  lambda size: False))
+    lex = list(search._maximal_families(shape, cubic, search._Counter(DEFAULT_NODE_CAP),
+                                        lambda *node: False))
+    return dominating, lex
+
+
+class TestDominatingFamilies:
+    @pytest.mark.parametrize("dims,cubic", SMALL_UNIVERSES)
+    def test_every_maximal_family_once(self, dims, cubic):
+        dominating, lex = family_walks(dims, cubic)
+        assert len(dominating) == len(set(dominating))
+        assert set(dominating) == set(lex)
+
+    # Universes of 54 to 150 bricks; 5x4 has 125,216 maximal families.
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 2, 2), (2, 2, 2, 2), (5, 4)])
+    def test_every_maximal_family_once_past_the_small_universes(self, dims):
+        dominating, lex = family_walks(dims, False)
+        assert len(dominating) == len(set(dominating)) == len(lex)
+        assert set(dominating) == set(lex)
+
+    def test_listing_masks_follow_the_domination_walk(self):
+        dominating, lex = family_walks((3, 3), False)
+        assert list(search._maximal_family_masks(Shape((3, 3)), False, 40)) == dominating
+        assert dominating != lex  # so the lex order of enumerate_maximal_systems is its own
 
 
 class TestEnumerateMaximalSystems:
@@ -980,22 +1049,22 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, ("8", 14, 1313, 88)),
-        (extremal_size, (4, 3, 2), "max", False, ("8", 13, 986, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, ("8", 5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, ("8", 9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, ("8", 7, 31, 0)),
-        (flat_extremal_size, (5, 4), "max", False, ("8", 14, 2444, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, ("8", 4, 169, 0)),
-        (extremal_size, (5, 4), "min", False, ("8", 8, 2475, 88)),
-        (extremal_size, (4, 3, 2), "min", False, ("8", 7, 1235, 100)),
-        (extremal_size, (7, 7), "min", True, ("8", 7, 1484, 15)),
-        (extremal_size, (4, 4, 4), "min", True, ("8", 4, 240, 3)),
-        (extremal_size, (4, 1, 3), "max", False, ("8", 9, 257, 32)),
-        (extremal_size, (1, 3, 2), "min", False, ("8", 4, 41, 7)),
-        (extremal_size, (2, 1, 2, 1), "max", False, ("8", 3, 13, 2)),
-        (extremal_size, (6, 6), "max", True, ("8", 13, 7840, 10)),
-        (extremal_size, (7, 7), "max", True, ("8", 21, 10399, 15)),
+        (extremal_size, (5, 4), "max", False, ("9", 14, 1313, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("9", 13, 986, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("9", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("9", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("9", 7, 31, 0)),
+        (flat_extremal_size, (5, 4), "max", False, ("9", 14, 2444, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("9", 4, 63, 0)),
+        (extremal_size, (5, 4), "min", False, ("9", 8, 2475, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("9", 7, 1235, 100)),
+        (extremal_size, (7, 7), "min", True, ("9", 7, 1484, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("9", 4, 240, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("9", 9, 257, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("9", 4, 41, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("9", 3, 13, 2)),
+        (extremal_size, (6, 6), "max", True, ("9", 13, 7840, 10)),
+        (extremal_size, (7, 7), "max", True, ("9", 21, 10399, 15)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
