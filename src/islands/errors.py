@@ -24,3 +24,7 @@ class CapExceeded(IslandError, RuntimeError):
 
 class WitnessNotFound(IslandError, RuntimeError):
     """An engine fault: a search's witness walk met no family of its optimum's size."""
+
+
+class SeedNotSaturated(IslandError, RuntimeError):
+    """An engine fault: a front the max walk would seed its incumbent with is not saturated."""

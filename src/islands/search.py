@@ -36,12 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .errors import CapExceeded, WitnessNotFound
+from .errors import CapExceeded, SeedNotSaturated, WitnessNotFound
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_table
 
-ENGINE_VERSION = "9"
+ENGINE_VERSION = "10"
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -155,10 +155,16 @@ class _Region:
     lower corner.  ``reach[j]`` is the OR of ``points[u]`` over every
     ``u >= j`` (``reach[n]`` is 0); only the max bound reads them.  A table is
     built once per process by :func:`_region` and shared by both modes.
+
+    ``pairs`` holds, outside cubic mode, the index pairs of the slabs
+    ``[0, b] × rest`` and ``[b + 1, m_i] × rest`` (``rest`` every other side
+    in full) for each axis ``i`` and ``1 <= b <= m_i − 2``: no other brick
+    contains or avoids both, so each pair is a saturated front, checked here
+    in masks; only the max seed reads them.
     """
 
     __slots__ = ("lo", "sub", "subs", "later", "keep", "hit", "cells", "met", "all_mask", "points",
-                 "reach")
+                 "reach", "pairs")
 
     def __init__(self, dims: tuple[int, ...], cubic: bool):
         shape = Shape(dims)
@@ -184,6 +190,15 @@ class _Region:
         shift = {lo: sum(lo[i] * t for i, t in strides.items()) for lo in dict.fromkeys(self.lo)}
         self.points = [box[k] << shift[lo] for k, lo in zip(self.sub, self.lo)]
         self.reach = list(itertools.accumulate(reversed(self.points), operator.or_, initial=0))[::-1]
+        index, zero = {c: j for j, c in enumerate(corners)}, full[0]
+        self.pairs = [] if cubic else [
+            (index[zero, dims[:i] + (b,) + dims[i + 1:]],
+             index[zero[:i] + (b + 1,) + zero[i + 1:], dims])
+            for i, m in enumerate(dims) for b in range(1, m - 1)]
+        for a, b in self.pairs:
+            if self.keep[a] & self.keep[b]:
+                raise SeedNotSaturated(f"slabs {corners[a]} and {corners[b]} of {dims} are not a "
+                                       "saturated front")
 
 
 @functools.cache
@@ -346,11 +361,12 @@ class _FrontEngine:
     same as with every child pushed and checked when popped, and so is where
     a node cap stops the run.
 
-    * max prunes when ``partial·den + num·|free & reach[low]| <= best·den``,
+    * max prunes when ``partial·den + num·|free & reach[low]| < (best + 1)·den``,
       ``low`` the lowest bit of ``ext`` and ``num/den`` the largest gain per
       lattice point over ``ext``: disjoint closed bricks share no lattice
       point, and every member to come lies in ``ext``, so they hold at most
-      that many free points, at ``num/den`` each.
+      that many free points, at ``num/den`` each.  Values are integers, so a
+      front below beats ``best`` only by reaching ``best + 1``.
     * min prunes when more than ``(best − 1 − partial)·a/b`` unit cells are
       breakers, that is, avoid every member (a cell contains no brick but
       itself): a saturated front takes or meets each such cell, and one member
@@ -359,7 +375,10 @@ class _FrontEngine:
       this fires whenever ``partial + min(gain) >= best``.
 
     ``{j}`` alone is a saturated front iff ``keep[j] == 0``, and the walk meets
-    it, so the incumbent starts one short of the best such gain.  Only fronts
+    it, so the incumbent starts one short of the best such gain; in max mode,
+    of the best such gain or slab pair's (``_Region.pairs``).  Three or more
+    full-width slabs along an axis are never a saturated front: the slab from
+    0 to the end of the second contains the first two and avoids the rest.  Only fronts
     that cannot strictly beat the incumbent go, so the first optimal front in
     generation order, the witness, is kept.  The walk yields fronts as masks;
     only the winning one is decoded, once per region, into ``(lo, sides)`` pairs.
@@ -433,7 +452,7 @@ class _FrontEngine:
             def prune(partial: int, breakers: int, free: int, ext: int) -> bool:
                 return (breakers & cells).bit_count() * b > (best - 1 - partial) * a
         else:
-            best = max(singles, default=0) - 1
+            best = max(singles + [gain[a] + gain[b] for a, b in region.pairs], default=0) - 1
             reach = region.reach
             ratios = _ratio_table(gain, [p.bit_count() for p in region.points])
 
@@ -442,7 +461,7 @@ class _FrontEngine:
                     if mask & ext:
                         break
                 room = (free & reach[(ext & -ext).bit_length() - 1]).bit_count()
-                return partial * den + num * room <= best * den
+                return partial * den + num * room < (best + 1) * den
 
         best_mask = 0
         walked = self.counter.nodes

@@ -25,6 +25,7 @@ from islands import (
     enumerate_saturated_fronts,
     extremal_size,
     flat_extremal_size,
+    front_is_saturated,
     is_laminar,
     is_maximal,
     max_cube_system_bound,
@@ -34,11 +35,11 @@ from islands import (
 )
 from islands import search
 from islands.geometry import IntervalMasks, brick_corners, mask_members
-from islands.errors import WitnessNotFound
+from islands.errors import SeedNotSaturated, WitnessNotFound
 from islands.search import DEFAULT_NODE_CAP, ENGINE_VERSION, ENGINES
 from islands.serialize import dumps_canonical, system_to_dict
 from islands.system import _universe_table
-from islands.verify import Searcher
+from islands.verify import Searcher, prior_work_rows
 
 from conftest import B
 
@@ -338,7 +339,7 @@ class TestExtremalSize:
     @pytest.mark.parametrize("mode", ["min", "max"])
     @pytest.mark.parametrize("node_cap", [5, 50, 300])
     def test_node_cap_carries_partial_statistics(self, mode, node_cap):
-        # 5x4 walks 2,475 nodes in min and 1,313 in max, past every cap here
+        # 5x4 walks 2,475 nodes in min and 755 in max, past every cap here
         with pytest.raises(CapExceeded) as err:
             extremal_size(Shape((5, 4)), SearchConfig(mode=mode, node_cap=node_cap))
         assert err.value.nodes_explored == node_cap + 1
@@ -481,7 +482,7 @@ class TestSharedStore:
         shape = Shape((5, 4) + (1,) * 14)
         report = Searcher(engine="front").report(shape, "max")
         assert walks and all(dims == (1,) or 1 not in dims for dims in walks)
-        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 1313, 88)
+        assert (report.value, report.nodes_explored, report.memo_hits) == (14, 755, 88)
         assert report.witness.shape == shape and is_maximal(report.witness)
 
 
@@ -540,10 +541,10 @@ class TestRegionTables:
 # sha256 of repr(sorted(fresh_outcomes(cap).items())): every value, witness,
 # node count, memo hit count and cap message of STORE_JOBS under each cap.
 OUTCOME_DIGESTS = {
-    DEFAULT_NODE_CAP: "3fd9bbc8f2ad0d299307db7cb8d198c5135029e1048f5cd8eb42fc47c0f65ffe",
-    300: "797a3b4a90e8d5cc0d7e2ef1f29148c668320ef79b0937209781b5ea1961938c",
+    DEFAULT_NODE_CAP: "851e4cd0fbb54f32f68306f83844596f7be2708111a7d652950bf28ae619e8b4",
+    300: "ade9dac4a4551c643fbd89268ec642d34e167bc4ae9ee6dcbb840e92c5f6ffe6",
     50: "c85523c6c5ff1d197ba679ee228f97bdbc48c2af9da1d24dcf881332c943f043",
-    2000: "ddd637d132efab1ed89ed20575fd2beed91441c599d1a88bed59cef90147899d",
+    2000: "e0116eac7370abf3fa49da69559007c3a70fb36c6fab570856ff299e292b63be",
 }
 
 
@@ -552,7 +553,7 @@ def test_outcome_corpus_is_pinned():
     # moving one needs an ENGINE_VERSION bump, as in test_engine_counters_are_pinned.
     digests = {cap: hashlib.sha256(repr(sorted(fresh_outcomes(cap).items())).encode()).hexdigest()
                for cap in OUTCOME_DIGESTS}
-    assert (ENGINE_VERSION, digests) == ("9", OUTCOME_DIGESTS)
+    assert (ENGINE_VERSION, digests) == ("10", OUTCOME_DIGESTS)
 
 
 class UnfoldedEngine(search._FrontEngine):
@@ -635,6 +636,21 @@ PRUNING_SHAPES = [
 ]
 
 
+# Brick max regions with slab pairs up to the front cap, past PRUNING_SHAPES.
+SEEDED_SHAPES = [(4, 4), (5, 3), (5, 4), (6, 3), (4, 3, 2), (3, 1, 5)]
+
+
+def assert_witness_top_layer_is_the_first_optimal_front(dims, mode, cubic):
+    shape = Shape(dims)
+    pick = min if mode == "min" else max
+    fronts = [front.members for front in enumerate_saturated_fronts(shape, cubic)]
+    totals = [sum(unpruned_value(tuple(sorted(m.sides())), mode, cubic) for m in members)
+              for members in fronts]
+    first = fronts[totals.index(pick(totals))]
+    report = extremal_size(shape, SearchConfig(mode=mode, cubic=cubic))
+    assert tuple(max_elements(report.witness)) == first, dims
+
+
 class TestBranchAndBound:
     @pytest.mark.parametrize("mode", ["min", "max"])
     @pytest.mark.parametrize("cubic", [False, True])
@@ -652,17 +668,15 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("mode", ["min", "max"])
     @pytest.mark.parametrize("cubic", [False, True])
     def test_witness_top_layer_is_the_first_optimal_front(self, mode, cubic):
-        pick = min if mode == "min" else max
         for dims in PRUNING_SHAPES:
-            shape = Shape(dims)
-            if brick_count(shape, cubic) > ENGINES["front"]:
-                continue
-            fronts = [front.members for front in enumerate_saturated_fronts(shape, cubic)]
-            totals = [sum(unpruned_value(tuple(sorted(m.sides())), mode, cubic) for m in members)
-                      for members in fronts]
-            first = fronts[totals.index(pick(totals))]
-            report = extremal_size(shape, SearchConfig(mode=mode, cubic=cubic))
-            assert tuple(max_elements(report.witness)) == first, dims
+            if brick_count(Shape(dims), cubic) <= ENGINES["front"]:
+                assert_witness_top_layer_is_the_first_optimal_front(dims, mode, cubic)
+
+    @pytest.mark.parametrize("dims", SEEDED_SHAPES, ids=lambda dims: ",".join(map(str, dims)))
+    def test_a_seeded_witness_top_layer_is_the_first_optimal_front(self, dims):
+        # a slab pair seeds the max incumbent of these regions and of most of their sub-regions
+        assert search._region(dims, False).pairs
+        assert_witness_top_layer_is_the_first_optimal_front(dims, "max", False)
 
     def test_cubic_7x7_max_reaches_the_theorem_3_bound(self):
         # 7 + 1 is a power of two, so the bound 21 is attained.
@@ -672,6 +686,45 @@ class TestBranchAndBound:
         assert is_laminar(report.witness.bricks)
         assert is_maximal(report.witness)
         assert len(report.witness) == 21
+
+
+def slab(dims, axis, lo, hi):
+    """The brick ``[lo, hi]`` on ``axis``, every other side in full."""
+    return Brick(tuple(lo if i == axis else 0 for i in range(len(dims))),
+                 tuple(hi if i == axis else m for i, m in enumerate(dims)))
+
+
+class TestSlabPairSeed:
+    @pytest.mark.parametrize("dims", [(5, 4), (6, 3), (4, 3, 2), (5, 1, 3), (3, 3, 2, 2)],
+                             ids=lambda dims: ",".join(map(str, dims)))
+    def test_every_slab_pair_is_a_saturated_front(self, dims):
+        table = search._region(dims, False)
+        bricks = decoded_candidates(table)
+        expected = [(slab(dims, i, 0, b), slab(dims, i, b + 1, m))
+                    for i, m in enumerate(dims) for b in range(1, m - 1)]
+        assert [(bricks[a], bricks[b]) for a, b in table.pairs] == expected
+        for pair in expected:
+            assert front_is_saturated(Front(Shape(dims), pair)), pair
+
+    def test_cubic_tables_have_no_pairs(self):
+        assert search._region((5, 2), True).pairs == search._region((4, 4), True).pairs == []
+
+    def test_an_unsaturated_pair_raises_instead_of_seeding(self, monkeypatch):
+        dims = (5, 4)
+        first = slab(dims, 0, 0, 1)
+
+        class Tampered(IntervalMasks):
+            def relations(self, lo, hi):  # every candidate contains [0, 1] x [0, 4]
+                inside, around, apart = super().relations(lo, hi)
+                return inside, around | (self.all if (lo, hi) == (first.lo, first.hi) else 0), apart
+
+        search._region.cache_clear()
+        monkeypatch.setattr(search, "IntervalMasks", Tampered)
+        try:
+            with pytest.raises(SeedNotSaturated):
+                extremal_size(Shape(dims), SearchConfig(mode="max"))
+        finally:
+            search._region.cache_clear()
 
 
 class TestReach:
@@ -689,6 +742,12 @@ class TestReach:
         assert report.value == 7
         assert is_maximal(report.witness)
         assert len(report.witness) == 7
+
+    def test_prior_work_up_to_side_10(self):
+        # 10x10 max (3,025 bricks, value 59) took 25.8 M nodes before the slab
+        # pair seed of engine version "10", and 89,704 with it.
+        rows = prior_work_rows(Searcher(brick_count_cap=3025), 10)
+        assert len(rows) == 55 and all(row["status"] == "PASS" for row in rows), rows
 
     def test_brick_6x6_min(self):
         # 18,509,241 nodes without the saturation look-ahead of engine version "7"
@@ -1049,22 +1108,22 @@ def test_computed_values_respect_the_closed_form_bounds():
 @pytest.mark.parametrize(
     "search,dims,mode,cubic,expected",
     [
-        (extremal_size, (5, 4), "max", False, ("9", 14, 1313, 88)),
-        (extremal_size, (4, 3, 2), "max", False, ("9", 13, 986, 100)),
-        (extremal_size, (2, 2, 2, 2), "min", False, ("9", 5, 121, 22)),
-        (extremal_size, (3, 3, 3), "max", True, ("9", 9, 109, 1)),
-        (flat_extremal_size, (3, 3), "max", False, ("9", 7, 31, 0)),
-        (flat_extremal_size, (5, 4), "max", False, ("9", 14, 2444, 0)),
-        (flat_extremal_size, (2, 2, 2), "min", False, ("9", 4, 63, 0)),
-        (extremal_size, (5, 4), "min", False, ("9", 8, 2475, 88)),
-        (extremal_size, (4, 3, 2), "min", False, ("9", 7, 1235, 100)),
-        (extremal_size, (7, 7), "min", True, ("9", 7, 1484, 15)),
-        (extremal_size, (4, 4, 4), "min", True, ("9", 4, 240, 3)),
-        (extremal_size, (4, 1, 3), "max", False, ("9", 9, 257, 32)),
-        (extremal_size, (1, 3, 2), "min", False, ("9", 4, 41, 7)),
-        (extremal_size, (2, 1, 2, 1), "max", False, ("9", 3, 13, 2)),
-        (extremal_size, (6, 6), "max", True, ("9", 13, 7840, 10)),
-        (extremal_size, (7, 7), "max", True, ("9", 21, 10399, 15)),
+        (extremal_size, (5, 4), "max", False, ("10", 14, 755, 88)),
+        (extremal_size, (4, 3, 2), "max", False, ("10", 13, 855, 100)),
+        (extremal_size, (2, 2, 2, 2), "min", False, ("10", 5, 121, 22)),
+        (extremal_size, (3, 3, 3), "max", True, ("10", 9, 109, 1)),
+        (flat_extremal_size, (3, 3), "max", False, ("10", 7, 31, 0)),
+        (flat_extremal_size, (5, 4), "max", False, ("10", 14, 2444, 0)),
+        (flat_extremal_size, (2, 2, 2), "min", False, ("10", 4, 63, 0)),
+        (extremal_size, (5, 4), "min", False, ("10", 8, 2475, 88)),
+        (extremal_size, (4, 3, 2), "min", False, ("10", 7, 1235, 100)),
+        (extremal_size, (7, 7), "min", True, ("10", 7, 1484, 15)),
+        (extremal_size, (4, 4, 4), "min", True, ("10", 4, 240, 3)),
+        (extremal_size, (4, 1, 3), "max", False, ("10", 9, 213, 32)),
+        (extremal_size, (1, 3, 2), "min", False, ("10", 4, 41, 7)),
+        (extremal_size, (2, 1, 2, 1), "max", False, ("10", 3, 13, 2)),
+        (extremal_size, (6, 6), "max", True, ("10", 13, 3982, 10)),
+        (extremal_size, (7, 7), "max", True, ("10", 21, 5117, 15)),
     ],
 )
 def test_engine_counters_are_pinned(search, dims, mode, cubic, expected):
