@@ -22,9 +22,5 @@ class CapExceeded(IslandError, RuntimeError):
         self.memo_hits = memo_hits
 
 
-class WitnessNotFound(IslandError, RuntimeError):
-    """An engine fault: a search's witness walk met no family of its optimum's size."""
-
-
-class SeedNotSaturated(IslandError, RuntimeError):
-    """An engine fault: a front the max walk would seed its incumbent with is not saturated."""
+class EngineFault(IslandError, RuntimeError):
+    """An engine invariant failed, so no report may be printed; the message says which."""

@@ -29,19 +29,30 @@ against, and still check fronts.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import operator
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import CapExceeded, SeedNotSaturated, WitnessNotFound
+from .errors import CapExceeded, EngineFault
 from .geometry import (Brick, IntervalMasks, Shape, brick_corners, brick_count, contains,
                        disjoint, enumerate_bricks, mask_members)
 from .system import IslandSystem, _sorted_system, _universe_table
 
-ENGINE_VERSION = "10"
+
+def _short_digest(data: bytes) -> str:
+    """The first 16 hex digits of SHA-256: the source's version, and each cache row's digest."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# The results cache's version, over each module's name, a NUL byte and its bytes in name
+# order: an edit anywhere in the package re-keys every cached row.
+ENGINE_VERSION = _short_digest(b"".join(module.name.encode() + b"\0" + module.read_bytes()
+                                        for module in sorted(Path(__file__).parent.glob("*.py"))))
 
 # Engine name (extremal_size, flat_extremal_size) -> its default brick cap.
 ENGINES = {"front": 200, "flat": 40}
@@ -197,8 +208,8 @@ class _Region:
             for i, m in enumerate(dims) for b in range(1, m - 1)]
         for a, b in self.pairs:
             if self.keep[a] & self.keep[b]:
-                raise SeedNotSaturated(f"slabs {corners[a]} and {corners[b]} of {dims} are not a "
-                                       "saturated front")
+                raise EngineFault(f"slabs {corners[a]} and {corners[b]} of {dims} are not a "
+                                  "saturated front")
 
 
 @functools.cache
@@ -253,10 +264,10 @@ def _saturated_front_masks(
     yielded before.  A dead child is a leaf of the count, met by no yield and
     no ``prune``, so counting it when its parent is expanded, ahead of its
     place in preorder, leaves the walk's total as it was.  The count is kept
-    in a local and written back to ``counter`` at each yield, and through
-    ``counter.add`` at the end.  Never behind a one-at-a-time count and equal
-    to it at the end, it passes the cap in the same walk as that count, and
-    the walk raises from its next pop or from its end, with ``cap + 1`` nodes.
+    in a local and added to ``counter`` at the end.  Never behind a
+    one-at-a-time count and equal to it at the end, it passes the cap in the
+    same walk as that count, and the walk raises from its next pop or from
+    its end, with ``cap + 1`` nodes.
     """
     later = region.later
     keep = region.keep
@@ -270,7 +281,6 @@ def _saturated_front_masks(
         if nodes > cap:
             counter.add(nodes - counter.nodes)  # raises CapExceeded
         if breakers == 0:
-            counter.nodes = nodes
             yield members, partial
             continue
         if prune(partial, breakers, free, ext):
@@ -572,7 +582,7 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     largest laminar family is maximal.  The lex walk then runs to its first family
     of that size, the witness, dropping a node once ``|R|`` reaches it (min) or
     ``|R|`` plus its candidates' :func:`_colour_classes` cannot (max); a walk that
-    never reaches it raises :class:`~islands.errors.WitnessNotFound`.
+    never reaches it raises :class:`~islands.errors.EngineFault`.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
@@ -591,7 +601,7 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
         walk = _maximal_families(shape, config.cubic, counter, prune)
         family = next((f for f in walk if f.bit_count() == value), None)
         if family is None:
-            raise WitnessNotFound(f"no {config.mode} family of size {value} in {shape}")
+            raise EngineFault(f"no {config.mode} family of size {value} in {shape}")
         corners = list(brick_corners(shape, config.cubic))
         return value, [Brick(lo, hi) for lo, hi in mask_members(family, corners)]
 

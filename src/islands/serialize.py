@@ -13,7 +13,7 @@ import os
 from typing import Any
 
 from .geometry import Brick, Shape
-from .search import ENGINE_VERSION, ExtremalReport
+from .search import ENGINE_VERSION, ExtremalReport, _short_digest
 from .system import IslandSystem, is_laminar, is_maximal
 
 DEFAULT_CACHE_PATH = "./islands-cache.jsonl"
@@ -118,8 +118,9 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
     The last key-matching row decides: it is a miss (``None``) when its report
     is missing or malformed, when the report or its witness describes another
     shape or cubic flag than the key, when the report has another mode, when
-    the witness does not hold ``value`` bricks, or when it is not a laminar and
-    maximal system.  A missing file is a miss too.
+    the witness does not hold ``value`` bricks, when the row's ``digest`` is
+    not the parsed report's, or when the witness is not a laminar and maximal
+    system.  A missing file is a miss too.
     """
     found = None
     try:
@@ -148,15 +149,17 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
         report.cubic == witness.cubic == key["cubic"],
         report.mode == key["mode"],
         len(witness) == report.value,
+        found.get("digest") == _short_digest(dumps_canonical(report_to_dict(report)).encode()),
     )
     certified = all(checks) and is_laminar(witness.bricks) and is_maximal(witness)
     return report if certified else None
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:
-    """Append one row with one locked ``os.write``, after a newline if the file
-    ends in a torn line, so a killed writer's fragment never swallows the row."""
-    row = (dumps_canonical(dict(key, report=report)) + "\n").encode()
+    """Append one row, with the report's digest, in one locked ``os.write``, after a newline
+    if the file ends in a torn line, so a killed writer's fragment never swallows the row."""
+    digest = _short_digest(dumps_canonical(report).encode())
+    row = (dumps_canonical(dict(key, report=report, digest=digest)) + "\n").encode()
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)  # no other appender's row looks torn; close unlocks

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -19,8 +20,8 @@ from islands.cli import build_parser, main
 from islands.constructors import _minimal_family_corners
 from islands.geometry import brick_corners, brick_count
 from islands.search import ENGINE_VERSION
-from islands.serialize import (cache_key, cache_lookup, dumps_canonical, system_from_dict,
-                               system_to_dict)
+from islands.serialize import (cache_append, cache_key, cache_lookup, dumps_canonical,
+                               system_from_dict, system_to_dict)
 from islands.verify import (FAIL, SKIPPED, Searcher, canonical_shapes, classification_rows,
                             corollary_rows)
 from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, enumerate_bricks,
@@ -28,7 +29,7 @@ from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, e
                      max_elements, maximal_segment_systems, min_brick_system_size,
                      minimal_maximal_systems, nested_min_system, restrict)
 
-from conftest import B, child_env
+from conftest import SRC, B, child_env
 
 
 def family_masks(shape, systems):
@@ -472,10 +473,8 @@ class TestCacheRows:
         code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
         assert code == 0
         cache = tmp_path / "cache.jsonl"
-        cache.write_text(dumps_canonical({
-            "shape": [2, 2], "cubic": False, "mode": "min", "engine": "front",
-            "engine_version": ENGINE_VERSION, "report": dict(json.loads(fresh), **{field: value}),
-        }) + "\n")
+        cache_append(str(cache), cache_key(Shape((2, 2)), False, "min", "front"),
+                     dict(json.loads(fresh), **{field: value}))
         code, out, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
         assert code == 0
         assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
@@ -519,11 +518,8 @@ class TestCacheRows:
         assert run(capsys, *sweep)[0] == 0
         code, out, _ = run(capsys, "search", "--shape", "3,3", "--no-cache")
         assert code == 0
-        with cache.open("a") as handle:  # the 3,3 report filed under the 2,2 key
-            handle.write(dumps_canonical({
-                "shape": [2, 2], "cubic": False, "mode": "min", "engine": "front",
-                "engine_version": ENGINE_VERSION, "report": json.loads(out),
-            }) + "\n")
+        # the 3,3 report filed under the 2,2 key
+        cache_append(str(cache), cache_key(Shape((2, 2)), False, "min", "front"), json.loads(out))
         code, out, _ = run(capsys, *sweep)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -536,11 +532,11 @@ class TestCacheRows:
         cache = tmp_path / "c.jsonl"
         code, _, _ = run(capsys, "search", "--shape", "3,3", "--cache", str(cache))
         assert code == 0
-        row = json.loads(cache.read_text())
-        row["shape"] = row["report"]["shape"] = [2, 2]
-        row["report"]["value"] = 3  # the witness is still the 5-brick 3x3 one
+        report = json.loads(cache.read_text())["report"]
+        report["shape"] = [2, 2]
+        report["value"] = 3  # the witness is still the 5-brick 3x3 one
         forged = tmp_path / "c2.jsonl"
-        forged.write_text(dumps_canonical(row) + "\n")
+        cache_append(str(forged), cache_key(Shape((2, 2)), False, "min", "front"), report)
         code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
         code, out, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(forged))
         assert code == 0
@@ -567,14 +563,44 @@ class TestCacheRows:
         report = json.loads(fresh)
         edit(report)
         cache = tmp_path / "cache.jsonl"
-        cache.write_text(dumps_canonical({
-            "shape": report["shape"], "cubic": bool(flags), "mode": "min", "engine": "front",
-            "engine_version": ENGINE_VERSION, "report": report,
-        }) + "\n")
+        cache_append(str(cache), cache_key(Shape(tuple(report["shape"])), bool(flags), "min",
+                                           "front"), report)
         code, out, _ = run(capsys, "search", "--shape", shape, *flags, "--cache", str(cache))
         assert code == 0
         assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
         assert len(cache.read_text().strip().splitlines()) == 2
+
+
+def test_an_edit_to_the_package_re_keys_every_cached_row(tmp_path):
+    """ENGINE_VERSION is the package's source digest: a copy of the package keeps
+    it, one byte appended to a module changes it, and the edited copy recomputes
+    a row the original wrote, once, into the same report."""
+    original, edited = tmp_path / "original", tmp_path / "edited"
+    for root in (original, edited):
+        shutil.copytree(SRC / "islands", root / "islands",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    with (edited / "islands" / "cli.py").open("ab") as handle:
+        handle.write(b"\n")
+
+    def child(root, *argv):
+        env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, check=True).stdout
+
+    probe = ("-c", "import islands; print(islands.ENGINE_VERSION, islands.__file__)")
+    versions = {}
+    for root in (SRC, original, edited):
+        versions[root], path = child(root, *probe).split()
+        assert Path(path) == root / "islands" / "__init__.py"
+    assert versions[original] == versions[SRC] != versions[edited]
+    cache = tmp_path / "cache.jsonl"
+    search = ("-m", "islands.cli", "search", "--shape", "3,3", "--cache", str(cache))
+    first = child(original, *search)
+    again = [child(edited, *search) for _ in range(2)]  # recomputed, then replayed
+    rows = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert [row["engine_version"] for row in rows] == [versions[original], versions[edited]]
+    assert again[0] == again[1]
+    assert dict(json.loads(again[0]), elapsed_ms=0) == dict(json.loads(first), elapsed_ms=0)
 
 
 # Appends 400 rows of about 1.5 KB, each padded with the writer's tag, once
@@ -686,6 +712,46 @@ class TestCapsBeforeCache:
         lines = cache.read_text().splitlines()  # the forged row, then the honest one
         assert len(lines) == 2 and json.loads(lines[-1])["report"]["nodes"] == nodes
         assert run(capsys, *argv, "--node-cap", str(nodes), "--cache", str(cache))[0] == 0
+
+    def test_row_with_deflated_nodes_is_recomputed_up_to_the_cap(self, capsys, tmp_path):
+        # 5,4 max takes 755 nodes; a row claiming 155 must not pass a cap of 500
+        cache = tmp_path / "cache.jsonl"
+        argv = ("search", "--shape", "5,4", "--mode", "max")
+        assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+        row = cache.read_text()
+        cache.write_text(row.replace('"nodes":755,', '"nodes":155,', 1))
+        capped = (*argv, "--node-cap", "500")
+        assert run(capsys, *capped, "--cache", str(cache)) == run(capsys, *capped, "--no-cache")
+        assert run(capsys, *capped, "--no-cache") == (3, "", '{"error":"cap exceeded","detail":'
+                                                      '"node cap 500 exceeded","nodes":501,'
+                                                      '"memo_hits":88}\n')
+        assert cache.read_text() == row.replace('"nodes":755,', '"nodes":155,', 1)
+
+    def test_a_flipped_bit_in_a_cached_row_changes_only_speed(self, capsys, tmp_path):
+        # Each of the four low bits of every byte of a real row, under the default
+        # node cap and one below the row's count: every run prints what a run
+        # without the cache prints, elapsed_ms aside.
+        cache = tmp_path / "cache.jsonl"
+        argv = ("search", "--shape", "2,2", "--mode", "min")
+        code, out, _ = run(capsys, *argv, "--cache", str(cache))
+        assert code == 0
+        row = cache.read_bytes()
+
+        def outcome(*options):
+            code, out, err = run(capsys, *argv, *options)
+            return code, out and dict(json.loads(out), elapsed_ms=0), err
+
+        caps = [(), ("--node-cap", str(json.loads(out)["nodes"] - 1))]
+        fresh = [outcome(*cap, "--no-cache") for cap in caps]
+        assert [code for code, _, _ in fresh] == [0, 3]
+        mismatches = []
+        for at, bit in itertools.product(range(len(row)), (1, 2, 4, 8)):
+            flipped = row[:at] + bytes([row[at] ^ bit]) + row[at + 1:]
+            for cap, expected in zip(caps, fresh):
+                cache.write_bytes(flipped)
+                if outcome(*cap, "--cache", str(cache)) != expected:
+                    mismatches.append((at, bit, cap))
+        assert mismatches == []
 
     def test_flat_default_cap_holds_on_a_warm_cache(self, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
