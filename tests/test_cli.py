@@ -21,7 +21,8 @@ from islands.constructors import _minimal_family_corners
 from islands.geometry import brick_corners, brick_count
 from islands.search import ENGINE_VERSION
 from islands.serialize import (cache_append, cache_key, cache_lookup, dumps_canonical,
-                               system_from_dict, system_to_dict)
+                               report_from_dict, report_to_dict, system_from_dict,
+                               system_to_dict)
 from islands.verify import (FAIL, SKIPPED, Searcher, canonical_shapes, classification_rows,
                             corollary_rows)
 from islands import (CapExceeded, IslandSystem, SearchConfig, Shape, contains, enumerate_bricks,
@@ -309,8 +310,6 @@ class TestRoundTrip:
     def test_report_json_is_byte_stable(self, capsys):
         code, out, _ = run(capsys, "search", "--shape", "2,2", "--mode", "min", "--no-cache")
         assert code == 0
-        from islands.serialize import report_from_dict, report_to_dict
-
         line = out.strip()
         assert dumps_canonical(report_to_dict(report_from_dict(json.loads(line)))) == line
 
@@ -318,8 +317,6 @@ class TestRoundTrip:
     def test_report_mode_must_be_min_or_max(self, capsys, mode):
         code, out, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
         assert code == 0
-        from islands.serialize import report_from_dict
-
         with pytest.raises(ValueError, match="malformed report document"):
             report_from_dict(dict(json.loads(out), mode=mode))
 
@@ -535,6 +532,7 @@ class TestCacheRows:
         report = json.loads(cache.read_text())["report"]
         report["shape"] = [2, 2]
         report["value"] = 3  # the witness is still the 5-brick 3x3 one
+        assert report_to_dict(report_from_dict(report)) == report  # the digest holds
         forged = tmp_path / "c2.jsonl"
         cache_append(str(forged), cache_key(Shape((2, 2)), False, "min", "front"), report)
         code, fresh, _ = run(capsys, "search", "--shape", "2,2", "--no-cache")
@@ -550,18 +548,23 @@ class TestCacheRows:
         # two crossing strips under the full box: 3 bricks, not laminar
         ("2,2", (), lambda report: report["witness"].update(
             bricks=[[[0, 0], [1, 2]], [[0, 0], [2, 1]], [[0, 0], [2, 2]]])),
+        # a corner cell and a crossing strip: no brick can be added, yet not laminar
+        ("2,2", (), lambda report: report["witness"].update(
+            bricks=[[[0, 0], [1, 1]], [[0, 0], [2, 2]], [[0, 1], [2, 2]]])),
         # the full box and its four corner cells: laminar, but [0,3]x[0,1] still fits
         ("3,3", (), lambda report: report["witness"].update(
-            bricks=[[[0, 0], [3, 3]], [[0, 0], [1, 1]], [[2, 0], [3, 1]], [[0, 2], [1, 3]],
+            bricks=[[[0, 0], [1, 1]], [[0, 0], [3, 3]], [[0, 2], [1, 3]], [[2, 0], [3, 1]],
                     [[2, 2], [3, 3]]])),
     ], ids=["witness-shape", "witness-cubic", "value-is-not-the-witness-size",
-            "witness-not-laminar", "witness-not-maximal"])
+            "witness-not-laminar", "witness-not-laminar-but-saturated", "witness-not-maximal"])
     def test_row_whose_witness_disagrees_is_recomputed(self, capsys, tmp_path, shape, flags,
                                                        edit):
         code, fresh, _ = run(capsys, "search", "--shape", shape, *flags, "--no-cache")
         assert code == 0
         report = json.loads(fresh)
         edit(report)
+        # bricks in canonical order, so the row's digest holds and only the witness checks reject it
+        assert report_to_dict(report_from_dict(report)) == report
         cache = tmp_path / "cache.jsonl"
         cache_append(str(cache), cache_key(Shape(tuple(report["shape"])), bool(flags), "min",
                                            "front"), report)
@@ -703,10 +706,12 @@ class TestCapsBeforeCache:
         argv = ("search", "--shape", "3,3", "--mode", "max")
         code, out, _ = run(capsys, *argv, "--cache", str(cache))
         assert code == 0
-        row = json.loads(cache.read_text())
-        nodes = row["report"]["nodes"]
-        row["report"]["nodes"] = nodes + 1000
-        cache.write_text(dumps_canonical(row) + "\n")
+        report = json.loads(out)
+        nodes = report["nodes"]
+        # rewritten with its digest, so it is the node cap, not the digest, that rejects it
+        cache.write_text("")
+        cache_append(str(cache), cache_key(Shape((3, 3)), False, "max", "front"),
+                     dict(report, nodes=nodes + 1000))
         code, again, err = run(capsys, *argv, "--node-cap", str(nodes), "--cache", str(cache))
         assert (code, err, json.loads(again)["nodes"]) == (0, "", nodes)
         lines = cache.read_text().splitlines()  # the forged row, then the honest one
