@@ -582,7 +582,8 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
     largest laminar family is maximal.  The lex walk then runs to its first family
     of that size, the witness, dropping a node once ``|R|`` reaches it (min) or
     ``|R|`` plus its candidates' :func:`_colour_classes` cannot (max); a walk that
-    never reaches it raises :class:`~islands.errors.EngineFault`.
+    never reaches it, or a max walk that holds it with candidates left, raises
+    :class:`~islands.errors.EngineFault`.
     """
 
     def solve(counter: _Counter) -> tuple[int, list[Brick]]:
@@ -595,6 +596,8 @@ def flat_extremal_size(shape: Shape, config: SearchConfig) -> ExtremalReport:
             value = _largest_clique(_universe_table(shape, config.cubic).by_degree(), counter)
 
             def prune(size: int, pmask: int, compat: list[int]) -> bool:  # |R| + classes < value
+                if size >= value:  # R and any candidate make a larger family: value undercounted
+                    raise EngineFault(f"a max family past size {value} in {shape}")
                 classes = _colour_classes(pmask, compat)
                 return not any(itertools.islice(classes, value - 1 - size, None))
 

@@ -110,18 +110,17 @@ def cache_key(shape: Shape, cubic: bool, mode: str, engine: str) -> dict:
     }
 
 
-def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
-    """The report of the last row whose key fields all match, if it checks out.
+def cache_lookup(path: str, key: dict, node_cap: int) -> ExtremalReport | None:
+    """The report of the last row whose five key fields all match, if it checks out.
 
     Lines that are not JSON objects are skipped, among them blank lines, lines
-    that do not decode and JSON nested past the decoder's recursion limit.
-    The last key-matching row decides: it is a miss (``None``) when its report
-    is missing or malformed, when the report or its witness describes another
-    shape or cubic flag than the key, when the report has another mode, when
-    the witness does not hold ``value`` bricks, when the row's ``digest`` is
-    not the parsed report's, or when the witness is not a laminar and maximal
-    system.  A missing file is a miss too.
-    """
+    that do not decode and JSON nested past the decoder's recursion limit.  The
+    last key-matching row decides, read as the report it is: it is a miss
+    (``None``) when its ``digest`` is not that of its other fields serialized
+    again, or they are nested too deep for that; when the report is malformed,
+    took more than ``node_cap`` nodes or has a witness of another shape, cubic
+    flag or size; or when the witness is not laminar and maximal.  So is a
+    missing file."""
     found = None
     try:
         handle = open(path, "rb")
@@ -133,33 +132,31 @@ def cache_lookup(path: str, key: dict) -> ExtremalReport | None:
                 row = json.loads(line.decode())  # not UTF-8: UnicodeDecodeError
             except (ValueError, RecursionError):
                 continue  # a torn write must not poison the whole cache
-            if not isinstance(row, dict):
-                continue
-            if all(row.get(name) == value for name, value in key.items()):
+            if isinstance(row, dict) and key.items() <= row.items():
                 found = row
     if found is None:
         return None
     try:
-        report = report_from_dict(found.get("report"))
-    except ValueError:
+        sealed = found.pop("digest", None) == _short_digest(dumps_canonical(found).encode())
+        report = report_from_dict(found)
+    except (ValueError, RecursionError):  # parsed, yet too deep to serialize again
         return None
     witness = report.witness
     checks = (
-        list(report.shape.dims) == list(witness.shape.dims) == key["shape"],
-        report.cubic == witness.cubic == key["cubic"],
-        report.mode == key["mode"],
-        len(witness) == report.value,
-        found.get("digest") == _short_digest(dumps_canonical(report_to_dict(report)).encode()),
+        sealed,
+        report.nodes_explored <= node_cap,
+        (witness.shape, witness.cubic, len(witness)) == (report.shape, report.cubic, report.value),
     )
     certified = all(checks) and is_laminar(witness.bricks) and is_maximal(witness)
     return report if certified else None
 
 
 def cache_append(path: str, key: dict, report: dict) -> None:
-    """Append one row, with the report's digest, in one locked ``os.write``, after a newline
-    if the file ends in a torn line, so a killed writer's fragment never swallows the row."""
-    digest = _short_digest(dumps_canonical(report).encode())
-    row = (dumps_canonical(dict(key, report=report, digest=digest)) + "\n").encode()
+    """Append ``report`` with the key's engine fields and their digest last, in one locked
+    ``os.write``, after a newline if the file ends in a torn line, so a killed writer's
+    fragment never swallows the row."""
+    fields = dumps_canonical(dict(report, engine=key["engine"], engine_version=key["engine_version"]))
+    row = f'{fields[:-1]},"digest":"{_short_digest(fields.encode())}"}}\n'.encode()
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)  # no other appender's row looks torn; close unlocks

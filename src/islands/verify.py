@@ -51,13 +51,12 @@ ORACLE_BRICK_CAP = 60
 class Searcher:
     """Runs extremal searches through the persistent report cache.
 
-    ``engine`` must name an entry of ``search.ENGINES``.  Caps decide the same
-    with or without a cache: the brick cap is checked before the lookup, and
-    a cached report that took more than ``node_cap`` nodes is a miss, so the
-    fresh run stops where it would without a cache, with the same message and
-    counts, and appends nothing.  ``serialize.cache_lookup`` decides which
-    rows are hits; a miss is computed and appended.  ``cache_path=None``
-    disables caching.
+    ``engine`` must name an entry of ``search.ENGINES``; ``cache_path`` is
+    ``None``, for no cache, or not empty.  A report checks the brick cap, then
+    asks ``serialize.cache_lookup``, which alone decides hits and misses a row
+    past ``node_cap`` nodes; a miss runs the search and appends its report.  So
+    caps decide the same with or without a cache: a capped run stops where it
+    would without one, with the same message and counts, and appends nothing.
 
     With the front engine, every miss passes the searcher's one store to
     ``extremal_size``: it keeps one record per sub-shape a run has solved,
@@ -76,20 +75,22 @@ class Searcher:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}, expected one of {list(ENGINES)}")
+        if self.cache_path == "":
+            raise ValueError("the cache path is empty; pass None (--no-cache) for no cache")
 
     def report(self, shape: Shape, mode: str, cubic: bool = False) -> ExtremalReport:
         config = SearchConfig(mode=mode, cubic=cubic, brick_count_cap=self.brick_count_cap,
                               node_cap=self.node_cap)
         check_brick_cap(shape, cubic, config.brick_count_cap or ENGINES[self.engine])
         key = cache_key(shape, cubic, mode, self.engine)
-        report = cache_lookup(self.cache_path, key) if self.cache_path else None
-        # a row past the node cap is a miss, so the run stops where a cold run stops
-        if report is None or report.nodes_explored > config.node_cap:
+        caching = self.cache_path is not None
+        report = cache_lookup(self.cache_path, key, config.node_cap) if caching else None
+        if report is None:
             if self.engine == "front":
                 report = extremal_size(shape, config, self._store)
             else:
                 report = flat_extremal_size(shape, config)
-            if self.cache_path:
+            if caching:
                 cache_append(self.cache_path, key, report_to_dict(report))
         return report
 

@@ -383,6 +383,19 @@ class TestSearch:
         assert code == 0
         assert cache.exists()
 
+    @pytest.mark.parametrize("route", ["option", "environment"])
+    def test_an_empty_cache_path_is_a_usage_error(self, capsys, tmp_path, monkeypatch, route):
+        monkeypatch.chdir(tmp_path)
+        if route == "option":
+            argv = ("search", "--shape", "2,2", "--cache", "")
+        else:
+            monkeypatch.setenv("ISLANDS_CACHE", "")
+            argv = ("search", "--shape", "2,2")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "cache path is empty" in err
+        assert run(capsys, *argv, "--no-cache")[0] == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 # A line that parses but is not an object, and a key-matching row with no report.
 BAD_CACHE_LINES = {
@@ -415,7 +428,7 @@ class TestCacheRows:
         # as if the file were removed between an existence check and the open
         monkeypatch.setattr("islands.serialize.os.path.exists", lambda path: True)
         key = cache_key(Shape((2, 2)), False, "min", "front")
-        assert cache_lookup(str(tmp_path / "gone.jsonl"), key) is None
+        assert cache_lookup(str(tmp_path / "gone.jsonl"), key, 1000) is None
 
     def test_row_after_a_torn_line_is_replayed(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -497,6 +510,75 @@ class TestCacheRows:
         assert (code, again) == (0, out)
         assert len(cache.read_text().strip().splitlines()) == 2
 
+    def test_a_row_is_its_report_then_its_engine_fields_and_digest(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        code, out, _ = run(capsys, "search", "--shape", "2,2", "--cache", str(cache))
+        assert code == 0
+        report, row = json.loads(out), json.loads(cache.read_text())
+        assert list(row) == [*report, "engine", "engine_version", "digest"]
+        assert {name: row[name] for name in report} == report
+        assert (row["engine"], row["engine_version"]) == ("front", ENGINE_VERSION)
+
+    @pytest.mark.parametrize("version,read,old,new", [
+        # replayed, the front row would print the front witness, 83 nodes and 14 memo hits
+        (None, ("--engine", "flat"), '"engine":"front"', '"engine":"flat"'),
+        # a row of other source, edited to pass for this source's
+        ("0" * 16, (), '"engine_version":"0000000000000000"',
+         f'"engine_version":"{ENGINE_VERSION}"'),
+        # the max witness is laminar, maximal and of its value: only the digest sees the mode
+        (None, ("--mode", "min"), '"mode":"max"', '"mode":"min"'),
+        (None, ("--cubic",), '"cubic":false', '"cubic":true'),
+        (None, ("--shape", "3,2"), '"shape":[3,3]', '"shape":[3,2]'),
+        (None, (), '"nodes":83', '"nodes":82'),
+    ], ids=["engine", "engine_version", "mode", "cubic", "shape", "nodes"])
+    def test_a_row_with_an_edited_field_is_a_miss(self, capsys, tmp_path, monkeypatch,
+                                                  version, read, old, new):
+        # each row is written by a front 3,3 max run, then read by the run `read` makes of it
+        cache = tmp_path / "cache.jsonl"
+        with monkeypatch.context() as patch:
+            if version:
+                patch.setattr("islands.serialize.ENGINE_VERSION", version)
+            assert run(capsys, "search", "--shape", "3,3", "--mode", "max",
+                       "--cache", str(cache))[0] == 0
+        row = cache.read_text()
+        assert old in row
+        row = row.replace(old, new, 1)
+        argv = ("search", "--shape", "3,3", "--mode", "max", *read)
+        code, fresh, _ = run(capsys, *argv, "--no-cache")
+        assert code == 0
+        cache.write_text(row)
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, err) == (0, "")
+        assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
+        assert len(cache.read_text().splitlines()) == 2  # recomputed and appended
+        capped = (*argv, "--node-cap", str(json.loads(fresh)["nodes"] - 1))
+        cache.write_text(row)
+        assert run(capsys, *capped, "--cache", str(cache)) == run(capsys, *capped, "--no-cache")
+        assert cache.read_text() == row
+
+    def test_a_row_nested_too_deep_to_serialize_again_is_a_miss(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        argv = ("search", "--shape", "2,2")
+        code, fresh, _ = run(capsys, *argv, "--cache", str(cache))
+        assert code == 0
+        row = cache.read_text()
+        lo, hi = 1, 10 ** 6  # the deepest array json.loads takes here, by bisection
+        while lo < hi:
+            depth = (lo + hi + 1) // 2
+            try:
+                json.loads("[" * depth + "]" * depth)
+                lo = depth
+            except RecursionError:
+                hi = depth - 1
+        # an extra field, around the depth where the lookup's parse or serialization stops
+        for depth in range(max(lo - 40, 1), lo + 5):
+            nested = '"extra":' + "[" * depth + "]" * depth + ',"engine":'
+            cache.write_text(row.replace('"engine":', nested, 1))
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+            assert (code, err) == (0, "")
+            assert dict(json.loads(out), elapsed_ms=0) == dict(json.loads(fresh), elapsed_ms=0)
+            assert len(cache.read_text().splitlines()) == 2
+
     def test_search_row_is_replayed_by_verify(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         code, _, _ = run(capsys, "search", "--shape", "2,2", "--mode", "min",
@@ -513,23 +595,26 @@ class TestCacheRows:
         cache = tmp_path / "cache.jsonl"
         sweep = ("verify", "theorem1", "--max-dim", "2", "--max-side", "2", "--cache", str(cache))
         assert run(capsys, *sweep)[0] == 0
-        code, out, _ = run(capsys, "search", "--shape", "3,3", "--no-cache")
+        code, report, _ = run(capsys, "search", "--shape", "3,3", "--no-cache")
         assert code == 0
-        # the 3,3 report filed under the 2,2 key
-        cache_append(str(cache), cache_key(Shape((2, 2)), False, "min", "front"), json.loads(out))
+        # appended with the 2,2 key, the 3,3 report is still a row of its own shape
+        cache_append(str(cache), cache_key(Shape((2, 2)), False, "min", "front"),
+                     json.loads(report))
         code, out, _ = run(capsys, *sweep)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(row["status"] == "PASS" for row in rows)
         assert {"shape": "2,2", "actual": "3"}.items() <= rows[2].items()
-        assert len(cache.read_text().strip().splitlines()) == 7
+        assert len(cache.read_text().strip().splitlines()) == 6
+        assert run(capsys, "search", "--shape", "3,3", "--cache", str(cache)) == (0, report, "")
+        assert len(cache.read_text().strip().splitlines()) == 6
 
 
     def test_row_replaying_a_witness_of_another_shape_is_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
-        code, _, _ = run(capsys, "search", "--shape", "3,3", "--cache", str(cache))
+        code, out, _ = run(capsys, "search", "--shape", "3,3", "--cache", str(cache))
         assert code == 0
-        report = json.loads(cache.read_text())["report"]
+        report = json.loads(out)
         report["shape"] = [2, 2]
         report["value"] = 3  # the witness is still the 5-brick 3x3 one
         assert report_to_dict(report_from_dict(report)) == report  # the digest holds
@@ -615,7 +700,7 @@ path, tag = sys.argv[1:]
 print("ready", flush=True)
 sys.stdin.read()
 for row in range(400):
-    cache_append(path, {"writer": tag, "row": row}, {"pad": tag * 1500})
+    cache_append(path, {"engine": tag, "engine_version": "1"}, {"row": row, "pad": tag * 1500})
 """
 
 
@@ -638,9 +723,9 @@ def test_concurrent_appends_keep_every_row_whole(tmp_path):
     rows = [json.loads(line) for line in cache.read_text().splitlines()]
     assert len(rows) == 800
     for tag in "ab":
-        mine = [row for row in rows if row["writer"] == tag]
+        mine = [row for row in rows if row["engine"] == tag]
         assert [row["row"] for row in mine] == list(range(400))
-        assert all(row["report"] == {"pad": tag * 1500} for row in mine)
+        assert all(row["pad"] == tag * 1500 for row in mine)
 
 
 class TestCapsBeforeCache:
@@ -715,7 +800,7 @@ class TestCapsBeforeCache:
         code, again, err = run(capsys, *argv, "--node-cap", str(nodes), "--cache", str(cache))
         assert (code, err, json.loads(again)["nodes"]) == (0, "", nodes)
         lines = cache.read_text().splitlines()  # the forged row, then the honest one
-        assert len(lines) == 2 and json.loads(lines[-1])["report"]["nodes"] == nodes
+        assert len(lines) == 2 and json.loads(lines[-1])["nodes"] == nodes
         assert run(capsys, *argv, "--node-cap", str(nodes), "--cache", str(cache))[0] == 0
 
     def test_row_with_deflated_nodes_is_recomputed_up_to_the_cap(self, capsys, tmp_path):
@@ -774,6 +859,14 @@ def test_searcher_rejects_non_positive_caps_on_a_warm_cache(tmp_path, caps):
     Searcher(cache_path=cache).report(Shape((2, 2)), "min")
     with pytest.raises(ValueError, match="must be positive"):
         Searcher(cache_path=cache, **caps).report(Shape((2, 2)), "min")
+
+
+def test_lookup_misses_a_row_past_the_node_cap(tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    report = Searcher(cache_path=cache).report(Shape((3, 3)), "max")
+    key = cache_key(Shape((3, 3)), False, "max", "front")
+    assert cache_lookup(cache, key, report.nodes_explored - 1) is None
+    assert cache_lookup(cache, key, report.nodes_explored) == report
 
 
 def test_searcher_rejects_an_unknown_engine(tmp_path):

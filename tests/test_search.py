@@ -872,6 +872,14 @@ class TestFlatBranchAndBound:
         with pytest.raises(EngineFault, match="no max family of size 4 in"):
             list(map(lambda s: flat_extremal_size(s, SearchConfig(mode="max")).value, shapes))
 
+    def test_a_max_walk_past_an_undercounted_optimum_raises(self, monkeypatch):
+        # an optimum one too small: a node holding that many bricks still has candidates
+        largest = search._largest_clique
+        monkeypatch.setattr(search, "_largest_clique",
+                            lambda compat, counter: largest(compat, counter) - 1)
+        with pytest.raises(EngineFault, match="a max family past size 6 in"):
+            flat_extremal_size(Shape((3, 3)), SearchConfig(mode="max"))
+
     def test_a_min_walk_that_never_reaches_the_optimum_raises(self, monkeypatch):
         # an optimum one too small has no family of its size either
         smallest = search._smallest_families
